@@ -11,7 +11,6 @@ from .pq_core import (
     pq_binomial_expansion_check,
 )
 from .univariate import (
-    uni_basis,
     uni_apply,
     uni_moment_closed,
     uni_central_moment,
@@ -25,7 +24,6 @@ from .bivariate import (
     BiParams,
     ParamSchedule,
     SCHEDULES,
-    bi_basis,
     bi_apply,
     bi_apply_exact,
     bi_apply_grid,

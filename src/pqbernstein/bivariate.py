@@ -22,8 +22,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .pq_core import PQPair, bracket_values
-from .univariate import basis_row, basis_row_exact, nodes, uni_apply
+from .pq_core import PQPair, bracket_values, is_exact
+from .univariate import basis_row, basis_row_exact, nodes, uni_central_moment
 
 Number = Union[int, float, Fraction]
 
@@ -31,7 +31,6 @@ __all__ = [
     "BiParams",
     "ParamSchedule",
     "SCHEDULES",
-    "bi_basis",
     "bi_apply",
     "bi_apply_exact",
     "bi_apply_grid",
@@ -104,25 +103,6 @@ SCHEDULES: dict[str, ParamSchedule] = {
 }
 
 
-def bi_basis(params: BiParams, k: int, j: int, x: Number, y: Number) -> Number:
-    """Tensor weight R_{n,k}(x) * R_{m,j}(y); nonnegative on the square."""
-    if not (0 <= k <= params.n and 0 <= j <= params.m):
-        raise ValueError(f"indices out of range: k={k}, j={j}")
-    exact = (
-        params.pq1.is_exact
-        and params.pq2.is_exact
-        and isinstance(x, (Fraction, int))
-        and isinstance(y, (Fraction, int))
-    )
-    if exact:
-        wx = basis_row_exact(params.n, Fraction(x), params.pq1)[k]
-        wy = basis_row_exact(params.m, Fraction(y), params.pq2)[j]
-        return wx * wy
-    wx = basis_row(params.n, float(x), params.pq1)[k]
-    wy = basis_row(params.m, float(y), params.pq2)[j]
-    return float(wx * wy)
-
-
 def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     """Double sum of basis times f at the tensor nodes (float path).
 
@@ -131,8 +111,8 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     """
     wx = basis_row(params.n, float(x), params.pq1)
     wy = basis_row(params.m, float(y), params.pq2)
-    sx = nodes(params.n, params.pq1)
-    ty = nodes(params.m, params.pq2)
+    sx = nodes(params.n, params.pq1.floats())
+    ty = nodes(params.m, params.pq2.floats())
     F = _eval_grid(f, sx, ty)
     return math.fsum(wx[k] * math.fsum(wy * F[k, :]) for k in range(params.n + 1))
 
@@ -142,10 +122,8 @@ def bi_apply_exact(f: Callable, params: BiParams, x: Fraction, y: Fraction) -> F
     pq1, pq2 = params.pq1.exact(), params.pq2.exact()
     wx = basis_row_exact(params.n, Fraction(x), pq1)
     wy = basis_row_exact(params.m, Fraction(y), pq2)
-    brn = bracket_values(params.n, pq1)
-    brm = bracket_values(params.m, pq2)
-    sx = [brn[k] * pq1.p ** (params.n - k) / brn[params.n] for k in range(params.n + 1)]
-    ty = [brm[j] * pq2.p ** (params.m - j) / brm[params.m] for j in range(params.m + 1)]
+    sx = nodes(params.n, pq1)
+    ty = nodes(params.m, pq2)
     total = Fraction(0)
     for k in range(params.n + 1):
         inner = Fraction(0)
@@ -178,7 +156,7 @@ def bi_apply_grid(
     ys = np.asarray(ys, dtype=float)
     W1 = np.column_stack([basis_row(params.n, float(x), params.pq1) for x in xs])
     W2 = np.column_stack([basis_row(params.m, float(y), params.pq2) for y in ys])
-    F = _eval_grid(f, nodes(params.n, params.pq1), nodes(params.m, params.pq2))
+    F = _eval_grid(f, nodes(params.n, params.pq1.floats()), nodes(params.m, params.pq2.floats()))
     return W1.T @ F @ W2
 
 
@@ -194,12 +172,7 @@ def bi_moment_closed(which: str, params: BiParams, x: Number, y: Number) -> Numb
     """
     if which not in _SELECTORS:
         raise ValueError(f"unknown moment selector {which!r}; use one of {_SELECTORS}")
-    exact = (
-        params.pq1.is_exact
-        and params.pq2.is_exact
-        and isinstance(x, (Fraction, int))
-        and isinstance(y, (Fraction, int))
-    )
+    exact = is_exact(params.pq1, x, y) and params.pq2.is_exact
     one: Number = Fraction(1) if exact else 1.0
     if not exact:
         x, y = float(x), float(y)
@@ -230,11 +203,7 @@ def bi_central_moment2(axis: str, params: BiParams, x: Number, y: Number) -> Num
         pq, n, v = params.pq1, params.n, x
     else:
         pq, n, v = params.pq2, params.m, y
-    exact = pq.is_exact and isinstance(v, (Fraction, int))
-    if not exact:
-        pq, v = pq.floats(), float(v)
-    N = bracket_values(n, pq)[n]
-    return pq.p ** (n - 1) / N * (v - v * v)
+    return uni_central_moment(2, n, v, pq)
 
 
 # The Korovkin test set: e_ij(x,y) = x^i y^j for 0 <= i+j <= 2.

@@ -38,17 +38,24 @@ from .bivariate import (
 from .convergence import THEOREMS, certification_sweep, certify_bound, HypothesisError
 from .expressions import ParseError, parse_expr
 from .functions import CORPUS, monomial_1d, monomial_2d, resolve_function
-from .pq_core import PQPair, pq_binomial, pq_binomial_expansion_check, pq_factorial, pq_integer
+from .pq_core import (
+    PQPair,
+    bracket_values,
+    pq_binomial,
+    pq_binomial_expansion_check,
+    pq_factorial,
+    pq_integer,
+)
 from .univariate import (
     basis_row,
     central_moment4_display,
-    nodes,
     uni_apply,
     uni_central_moment,
     uni_moment_closed,
 )
 from .voronovskaja import (
     DEFAULT_DEGREES,
+    central_moment_brute,
     richardson_extrapolate,
     voronovskaja_trace,
     scaled_central_moment_limit_check,
@@ -159,9 +166,7 @@ def cmd_central_moments(args) -> int:
     for r in (2, 4):
         for x in xs:
             closed = uni_central_moment(r, args.n, float(x), pq)
-            w = basis_row(args.n, float(x), pq)
-            t = nodes(args.n, pq)
-            oracle = math.fsum(w * (t - float(x)) ** r)
+            oracle = central_moment_brute(r, args.n, float(x), pq)
             display = central_moment4_display(args.n, float(x), pq) if r == 4 else ""
             rows.append([r, float(x), closed, oracle, abs(closed - oracle), display])
     _emit(
@@ -321,8 +326,6 @@ def _selftest_rows(seed: int) -> tuple[list[list], bool]:
                     oracle = uni_apply(monomial_1d(i), n, x, pq)
                     all_eq &= closed == oracle
                 # alternative display form of e3 (p^{n-1} in the x^2 coefficient)
-                from .pq_core import bracket_values
-
                 br = bracket_values(n, pq)
                 N = br[n]
                 b1 = br[n - 1] if n >= 1 else Fraction(0)

@@ -20,7 +20,11 @@ d_nm^2 = d_n^2 + d_m^2.
 Moduli of continuity are measured on a discrete grid, hence UNDERestimate
 the true modulus; every omega-based certificate therefore also reports a
 conservative column with omega evaluated at 2*delta, and the headline
-pass/fail is judged on that conservative column.  A certificate records
+pass/fail is judged on that conservative column.  The complete modulus
+comes from numpy grey dilations by discrete discs (a disc is a stack of
+row segments, so each dilation is a max of shifted, edge-padded copies);
+the Peetre-K surrogate mollifies with a separable truncated Gaussian
+(np.convolve over edge-padded rows and columns).  A certificate records
 measured left-hand side, computed bound, margin and pass flag, in both a
 pointwise form (node by node) and a uniform form (sup-grid deltas).
 """
@@ -32,11 +36,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
 
 from .bivariate import BiParams, ParamSchedule, bi_apply_grid, _eval_grid
-from .functions import LipschitzSpec, TargetFunction2D
-from .pq_core import bracket_values
+from .functions import LipschitzSpec, TargetFunction2D, fd_partial
+from .univariate import uni_central_moment
 
 __all__ = [
     "THEOREMS",
@@ -79,14 +82,55 @@ class ModulusEstimate:
     direction: str  # 'complete' | 'partial-x' | 'partial-y'
 
 
+def _dilate(F: np.ndarray, r: int) -> np.ndarray:
+    """Grey dilation of F by the discrete disc i^2 + j^2 <= r^2, with
+    edge-clamped borders.
+
+    The disc is a stack of 2r+1 row segments, so the result is a max over
+    rows i of the segment max of half-width isqrt(r^2 - i^2), shifted by
+    i.  Segment maxima of every half-width are built by widening one
+    column at a time.  Only max operations are used, so the result is
+    exact.
+    """
+    rows, cols = F.shape
+    P = np.pad(F, r, mode="edge")
+    seg = [P[:, r : r + cols]]  # seg[w]: max over columns c-w..c+w
+    for w in range(1, r + 1):
+        wider = np.maximum(P[:, r - w : r - w + cols], P[:, r + w : r + w + cols])
+        seg.append(np.maximum(seg[-1], wider))
+    out = seg[r][r : r + rows].copy()
+    for i in range(1, r + 1):
+        S = seg[math.isqrt(r * r - i * i)]
+        np.maximum(out, S[r - i : r - i + rows], out=out)
+        np.maximum(out, S[r + i : r + i + rows], out=out)
+    return out
+
+
+def _mollify(F: np.ndarray, sigma: float) -> np.ndarray:
+    """Discrete Gaussian mollification of F (sigma in grid cells), with
+    edge-clamped borders: a separable np.convolve with the normalised
+    Gaussian kernel truncated at 4 sigma."""
+    radius = int(4.0 * sigma + 0.5)
+    t = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * t**2)
+    kernel /= kernel.sum()
+
+    def smooth(v):
+        return np.convolve(np.pad(v, radius, mode="edge"), kernel, mode="valid")
+
+    for axis in (0, 1):
+        F = np.apply_along_axis(smooth, axis, F)
+    return F
+
+
 class ModulusTable:
     """Grid moduli of continuity for one function, queryable at any delta.
 
     The complete modulus is built by iterated grey dilation with discrete
-    discs.  Compositions of discrete discs stay inside the continuous
-    disc of the summed radius, so every ladder value is a valid LOWER
-    estimate of the true modulus at its delta, converging from below as
-    the grid refines.
+    discs (numpy, see ``_dilate``).  Compositions of discrete discs stay
+    inside the continuous disc of the summed radius, so every ladder value
+    is a valid LOWER estimate of the true modulus at its delta, converging
+    from below as the grid refines.
     """
 
     _EXACT_RADII = tuple(range(1, 9))
@@ -100,28 +144,19 @@ class ModulusTable:
         self._complete: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._partial: dict[str, np.ndarray] = {}
 
-    @staticmethod
-    def _disc(radius: int) -> np.ndarray:
-        r = int(radius)
-        ii, jj = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-        return (ii * ii + jj * jj) <= r * r
-
     def _build_complete(self) -> None:
         F = self.F
         deltas = [0.0]
         values = [0.0]
         # exact small radii resolve the bounds' typically tiny deltas
-        for r in self._EXACT_RADII:
-            D = maximum_filter(F, footprint=self._disc(r), mode="nearest")
-            deltas.append(r * self.h)
+        for radius in self._EXACT_RADII:
+            D = _dilate(F, radius)
+            deltas.append(radius * self.h)
             values.append(float(np.max(D - F)))
-        # then march outward by composed dilations
-        D = maximum_filter(F, footprint=self._disc(self._EXACT_RADII[-1]), mode="nearest")
-        radius = self._EXACT_RADII[-1]
-        step_fp = self._disc(self._STEP)
+        # then march outward by composed dilations from the last exact disc
         limit = int(math.ceil(math.sqrt(2.0) * self.grid))
         while radius < limit:
-            D = maximum_filter(D, footprint=step_fp, mode="nearest")
+            D = _dilate(D, self._STEP)
             radius += self._STEP
             deltas.append(radius * self.h)
             values.append(float(np.max(D - F)))
@@ -192,9 +227,7 @@ def partial_modulus(f: Callable, axis: str, delta: float, grid: int = 200) -> Mo
 
 
 def _delta2_axis(pq, n: int, v):
-    N = bracket_values(n, pq.floats())[n]
-    v = np.asarray(v, dtype=float)
-    return float(pq.p) ** (n - 1) / N * (v - v * v)
+    return uni_central_moment(2, n, np.asarray(v, dtype=float), pq)
 
 
 def delta_n(params: BiParams, x) -> np.ndarray | float:
@@ -222,8 +255,8 @@ def delta_nm(params: BiParams, x, y) -> np.ndarray | float:
 class _KSurrogate:
     """Per-function mollification family: pairs (||f - g||, ||g||_C2).
 
-    g_sigma is a discrete Gaussian mollification of f; sigma = 0 means
-    g = f itself.  Sup-norms on the grid, second partials by central
+    g_sigma is a discrete Gaussian mollification of f (``_mollify``);
+    sigma = 0 means g = f itself.  Sup-norms on the grid, second partials by central
     finite differences; the C^2 norm follows
     ||g|| + sum_{j=1,2} (||d^j g/dx^j|| + ||d^j g/dy^j||).
     """
@@ -234,7 +267,7 @@ class _KSurrogate:
         F = _eval_grid(f, xs, xs)
         self.pairs: list[tuple[float, float]] = []
         for sigma in scales:
-            G = F if sigma == 0 else gaussian_filter(F, sigma=sigma / h, mode="nearest")
+            G = F if sigma == 0 else _mollify(F, sigma / h)
             dist = float(np.max(np.abs(F - G)))
             gx = (G[2:, :] - G[:-2, :]) / (2 * h)
             gy = (G[:, 2:] - G[:, :-2]) / (2 * h)
@@ -342,16 +375,13 @@ def _lhs_matrix(tf: Callable, params: BiParams, grid: int) -> tuple[np.ndarray, 
 
 def _sup_partial_norms(tf: TargetFunction2D, grid: int = 200, fd_step: float = 1e-5):
     xs = np.linspace(0.0, 1.0, grid + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     if tf.has_analytic_partials:
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        return float(np.max(np.abs(tf.fx(X, Y)))), float(np.max(np.abs(tf.fy(X, Y))))
-    h = fd_step
-    xi = np.clip(xs, h, 1 - h)
-    X, Y = np.meshgrid(xi, xs, indexing="ij")
-    nx = float(np.max(np.abs((tf.fn(X + h, Y) - tf.fn(X - h, Y)) / (2 * h))))
-    X, Y = np.meshgrid(xs, xi, indexing="ij")
-    ny = float(np.max(np.abs((tf.fn(X, Y + h) - tf.fn(X, Y - h)) / (2 * h))))
-    return nx, ny
+        gx, gy = tf.fx(X, Y), tf.fy(X, Y)
+    else:
+        gx = fd_partial(tf.fn, X, Y, "x", 1, fd_step)
+        gy = fd_partial(tf.fn, X, Y, "y", 1, fd_step)
+    return float(np.max(np.abs(gx))), float(np.max(np.abs(gy)))
 
 
 def certify_bound(

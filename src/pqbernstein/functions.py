@@ -19,6 +19,7 @@ __all__ = [
     "TargetFunction2D",
     "CORPUS",
     "resolve_function",
+    "fd_partial",
     "monomial_1d",
     "monomial_2d",
 ]
@@ -178,6 +179,20 @@ def monomial_2d(which: str) -> Callable:
     return table[which]
 
 
+def fd_partial(fn: Callable, x, y, axis: str, order: int, h: float):
+    """Central finite-difference partial of fn at (x, y): first or second
+    order along axis 'x' or 'y', with step h.  The differenced coordinate
+    is clipped to [h, 1-h] so every sample stays inside the unit square."""
+    v = np.clip(np.asarray(x if axis == "x" else y, dtype=float), h, 1 - h)
+
+    def at(t):
+        return fn(t, y) if axis == "x" else fn(x, t)
+
+    if order == 1:
+        return (at(v + h) - at(v - h)) / (2 * h)
+    return (at(v + h) - 2 * at(v) + at(v - h)) / (h * h)
+
+
 def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
     """Wrap a parsed expression as a target function.
 
@@ -192,34 +207,16 @@ def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
     def fn(x, y):
         return ast.eval(x, y)
 
-    h = fd_step
-
-    def _c(v):
-        return np.clip(np.asarray(v, dtype=float), h, 1 - h)
-
-    def fx(x, y):
-        x = _c(x)
-        return (fn(x + h, y) - fn(x - h, y)) / (2 * h)
-
-    def fy(x, y):
-        y = _c(y)
-        return (fn(x, y + h) - fn(x, y - h)) / (2 * h)
-
-    def fxx(x, y):
-        x = _c(x)
-        return (fn(x + h, y) - 2 * fn(x, y) + fn(x - h, y)) / (h * h)
-
-    def fyy(x, y):
-        y = _c(y)
-        return (fn(x, y + h) - 2 * fn(x, y) + fn(x, y - h)) / (h * h)
+    def partial(axis, order):
+        return lambda x, y: fd_partial(fn, x, y, axis, order, fd_step)
 
     return TargetFunction2D(
         name=f"expr:{text}",
         fn=fn,
-        fx=fx,
-        fy=fy,
-        fxx=fxx,
-        fyy=fyy,
+        fx=partial("x", 1),
+        fy=partial("y", 1),
+        fxx=partial("x", 2),
+        fyy=partial("y", 2),
         description=f"expression {text!r} (finite-difference partials)",
     )
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 Number = Union[int, float, Fraction]
 
 __all__ = [
     "PQPair",
+    "is_exact",
     "pq_integer",
     "bracket_values",
     "pq_factorial",
@@ -78,6 +79,12 @@ class PQPair:
 
     def floats(self) -> "PQPair":
         return PQPair(float(self.p), float(self.q))
+
+
+def is_exact(pq: PQPair, *values) -> bool:
+    """True when the exact-rational path applies: an exact pair and every
+    value a Fraction or int."""
+    return pq.is_exact and all(isinstance(v, (Fraction, int)) for v in values)
 
 
 def _zero(pq: PQPair) -> Number:
@@ -163,7 +170,7 @@ def falling_product(x: Number, count: int, pq: PQPair) -> Number:
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    exact = pq.is_exact and isinstance(x, (Fraction, int))
+    exact = is_exact(pq, x)
     p, q = pq.p, pq.q
     acc = Fraction(1) if exact else 1.0
     ppow = Fraction(1) if exact else 1.0
@@ -193,7 +200,7 @@ def pq_binomial_expansion_check(
     """
     if n > 20:
         raise ValueError("expansion check is a test utility; use n <= 20")
-    exact = pq.is_exact and all(isinstance(v, (Fraction, int)) for v in (a, b, x, y))
+    exact = is_exact(pq, a, b, x, y)
     p, q = pq.p, pq.q
 
     lhs = Fraction(0) if exact else 0.0
@@ -217,7 +224,3 @@ def pq_binomial_expansion_check(
         return lhs == rhs
     return math.isclose(lhs, rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
-
-def as_exact_sequence(values: Sequence[Number]) -> list[Fraction]:
-    """Convert a sequence of exactly-representable numbers to Fractions."""
-    return [Fraction(v) for v in values]

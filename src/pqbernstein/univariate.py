@@ -28,18 +28,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .pq_core import PQPair, bracket_values, pq_binomial
+from .pq_core import PQPair, bracket_values, is_exact, pq_binomial
 
 Number = Union[int, float, Fraction]
 
 __all__ = [
     "node",
     "nodes",
-    "uni_basis",
     "basis_row",
     "basis_row_exact",
     "uni_apply",
@@ -55,26 +54,29 @@ def _check_x(x: float) -> None:
 
 
 def node(n: int, k: int, pq: PQPair) -> Number:
-    """Sample node [k]_{p,q} p^{n-k} / [n]_{p,q}; lies in [0,1]."""
+    """Sample node k of degree n; lies in [0,1]."""
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"require 1 <= n and 0 <= k <= n, got n={n}, k={k}")
-    br = bracket_values(n, pq)
-    return br[k] * pq.p ** (n - k) / br[n]
+    return nodes(n, pq)[k]
 
 
-def nodes(n: int, pq: PQPair) -> np.ndarray:
-    """All n+1 nodes as a float array (ascending in k, and in value)."""
-    pq = pq.floats()
+def nodes(n: int, pq: PQPair) -> list[Fraction] | np.ndarray:
+    """All n+1 nodes, ascending in k and in value.
+
+    An exact pair gives Fractions from the literal [k]_{p,q} p^{n-k} /
+    [n]_{p,q}; a float pair gives a float array of [k]_r / [n]_r.
+    """
+    if pq.is_exact:
+        br = bracket_values(n, pq)
+        return [br[k] * pq.p ** (n - k) / br[n] for k in range(n + 1)]
     r = pq.ratio
     # [k]_r via recurrence; node_k = [k]_r / [n]_r
     br = np.empty(n + 1)
     br[0] = 0.0
     acc = 0.0
-    rpow = 1.0
     for i in range(1, n + 1):
         acc = acc * r + 1.0  # [i]_r = 1 + r [i-1]_r
         br[i] = acc
-        rpow *= r
     return br / br[n]
 
 
@@ -139,16 +141,6 @@ def basis_row_exact(n: int, x: Fraction, pq: PQPair) -> list[Fraction]:
     return out
 
 
-def uni_basis(n: int, k: int, x: Number, pq: PQPair) -> Number:
-    """Single basis weight R_{n,k}(x); nonnegative on [0,1]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    if pq.is_exact and isinstance(x, (Fraction, int)):
-        return basis_row_exact(n, Fraction(x), pq)[k]
-    _check_x(float(x))
-    return float(basis_row(n, float(x), pq)[k])
-
-
 def uni_apply(f: Callable, n: int, x: Number, pq: PQPair) -> Number:
     """Apply the degree-n operator to f at x.
 
@@ -157,16 +149,11 @@ def uni_apply(f: Callable, n: int, x: Number, pq: PQPair) -> Number:
     reproducible across runs.  Exact mode requires f to map Fractions to
     Fractions.
     """
-    if pq.is_exact and isinstance(x, (Fraction, int)):
+    if is_exact(pq, x):
         row = basis_row_exact(n, Fraction(x), pq)
-        br = bracket_values(n, pq)
-        total = Fraction(0)
-        for k in range(n + 1):
-            nd = br[k] * pq.p ** (n - k) / br[n]
-            total += row[k] * f(nd)
-        return total
+        return sum((w * f(nd) for w, nd in zip(row, nodes(n, pq))), Fraction(0))
     row = basis_row(n, float(x), pq)
-    nds = nodes(n, pq)
+    nds = nodes(n, pq.floats())
     try:
         vals = np.asarray(f(nds), dtype=float)
         if vals.shape != nds.shape:
@@ -226,7 +213,7 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
     """
     if i not in (0, 1, 2, 3, 4):
         raise ValueError(f"moment order must be in 0..4, got {i}")
-    one = Fraction(1) if (pq.is_exact and isinstance(x, (Fraction, int))) else 1.0
+    one = Fraction(1) if is_exact(pq, x) else 1.0
     if not isinstance(one, Fraction):
         pq = pq.floats()
         x = float(x)
@@ -244,29 +231,25 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
 def uni_central_moment(r: int, n: int, x: Number, pq: PQPair) -> Number:
     """Central moment B((t-x)^r; x) for r in {2, 4}.
 
-    r=2 has the closed form p^{n-1}/[n] (x - x^2).  r=4 is assembled from
-    the raw moments by the binomial expansion
+    r=2 has the closed form p^{n-1}/[n] (x - x^2), the squared delta of
+    the convergence bounds; its float path also takes an array x.  r=4 is
+    assembled from the raw moments by the binomial expansion
     sum_j C(4,j) (-x)^{4-j} B(e_j; x).  A circulating direct expansion with
     A-coefficients mixes parameters inconsistently and is exposed
     separately as :func:`central_moment4_display` for comparison only.
     """
+    if r not in (2, 4):
+        raise ValueError(f"central moment order must be 2 or 4, got {r}")
+    exact = is_exact(pq, x)
+    if not exact:
+        pq = pq.floats()
+        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     if r == 2:
-        exact = pq.is_exact and isinstance(x, (Fraction, int))
-        if not exact:
-            pq = pq.floats()
-            x = float(x)
-        N = bracket_values(n, pq)[n]
-        return pq.p ** (n - 1) / N * (x - x * x)
-    if r == 4:
-        exact = pq.is_exact and isinstance(x, (Fraction, int))
-        if not exact:
-            pq = pq.floats()
-            x = float(x)
-        acc = (Fraction(0) if exact else 0.0)
-        for j in range(5):
-            acc += math.comb(4, j) * (-x) ** (4 - j) * uni_moment_closed(j, n, x, pq)
-        return acc
-    raise ValueError(f"central moment order must be 2 or 4, got {r}")
+        return pq.p ** (n - 1) / bracket_values(n, pq)[n] * (x - x * x)
+    acc = Fraction(0) if exact else 0.0
+    for j in range(5):
+        acc += math.comb(4, j) * (-x) ** (4 - j) * uni_moment_closed(j, n, x, pq)
+    return acc
 
 
 def central_moment4_display(n: int, x: float, pq: PQPair) -> float:

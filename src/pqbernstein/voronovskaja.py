@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bivariate import BiParams, ParamSchedule, bi_apply
-from .functions import TargetFunction2D
+from .functions import TargetFunction2D, fd_partial
 from .pq_core import PQPair, bracket_values
 from .univariate import basis_row, nodes
 
@@ -67,7 +67,7 @@ class AsymptoticTrace:
 def central_moment_brute(order: int, n: int, x: float, pq: PQPair) -> float:
     """B((t-x)^order; x) by direct basis summation (float path)."""
     w = basis_row(n, float(x), pq)
-    t = nodes(n, pq)
+    t = nodes(n, pq.floats())
     return math.fsum(w * (t - x) ** order)
 
 
@@ -116,13 +116,10 @@ def _second_partials_at(
             f"{tf.name} has no registered second partials; pass fd_fallback=True "
             "to accept finite-difference estimates (widened tolerance)"
         )
-    h = fd_step
-    xc = min(max(x, h), 1 - h)
-    yc = min(max(y, h), 1 - h)
-    f = tf.fn
-    fxx = (float(f(xc + h, y)) - 2 * float(f(xc, y)) + float(f(xc - h, y))) / (h * h)
-    fyy = (float(f(x, yc + h)) - 2 * float(f(x, yc)) + float(f(x, yc - h))) / (h * h)
-    return fxx, fyy
+    return (
+        float(fd_partial(tf.fn, x, y, "x", 2, fd_step)),
+        float(fd_partial(tf.fn, x, y, "y", 2, fd_step)),
+    )
 
 
 def voronovskaja_trace(

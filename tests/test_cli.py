@@ -1,10 +1,17 @@
 """CLI tests: exit codes, CSV byte-stability, and JSON mirrors."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import pqbernstein
+
+# the child interpreter imports the same package as this test process
+SRC = str(Path(pqbernstein.__file__).resolve().parent.parent)
 
 # argv tails (after the program name) for a fast representative run of
 # every subcommand; small degrees keep the whole module quick
@@ -32,11 +39,13 @@ SUBCOMMANDS = {
 }
 
 
-def run_cli(args, **kw):
+def run_cli(args, env=None, **kw):
+    env = {**(os.environ if env is None else env), "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-m", "pqbernstein.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kw,
     )
 

@@ -1,14 +1,21 @@
 """Tests for moduli of continuity, K-functional surrogate, and certificates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqbernstein
 from pqbernstein.bivariate import SCHEDULES, BiParams
 from pqbernstein.convergence import (
     THEOREMS,
     HypothesisError,
+    _dilate,
+    _mollify,
     certification_sweep,
     certify_bound,
     complete_modulus,
@@ -67,6 +74,71 @@ class TestModulus:
         f = CORPUS["liny"].fn
         assert partial_modulus(f, "x", 0.4).value == 0.0
         assert partial_modulus(f, "y", 0.4).value > 0.3
+
+
+def _brute_dilate(F, r):
+    """Max over every disc offset (i, j), i^2 + j^2 <= r^2, of F at the
+    edge-clamped index (a + i, b + j)."""
+    rows, cols = F.shape
+    a = np.arange(rows)[:, None]
+    b = np.arange(cols)[None, :]
+    out = np.full(F.shape, -np.inf)
+    for i in range(-r, r + 1):
+        for j in range(-r, r + 1):
+            if i * i + j * j <= r * r:
+                shifted = F[np.clip(a + i, 0, rows - 1), np.clip(b + j, 0, cols - 1)]
+                out = np.maximum(out, shifted)
+    return out
+
+
+def _clamped_smoothing_matrix(size, kernel):
+    """A @ v is the edge-clamped weighted sum sum_t kernel[t] v[clamp(a + t)]."""
+    radius = len(kernel) // 2
+    A = np.zeros((size, size))
+    for a in range(size):
+        for t, w in zip(range(-radius, radius + 1), kernel):
+            A[a, min(max(a + t, 0), size - 1)] += w
+    return A
+
+
+class TestGridFilters:
+    F = np.random.default_rng(20160121).random((23, 31))
+
+    def test_dilation_equals_brute_force_disc_max(self):
+        for r in range(1, 9):
+            assert np.array_equal(_dilate(self.F, r), _brute_dilate(self.F, r))
+        composed = _dilate(_dilate(self.F, 8), 4)
+        assert np.array_equal(composed, _brute_dilate(_brute_dilate(self.F, 8), 4))
+
+    def test_mollifier_matches_dense_clamped_sum(self):
+        # sigma = 10 truncates at radius 40, wider than either side
+        for sigma in (0.5, 2.5, 10.0):
+            radius = int(4.0 * sigma + 0.5)
+            t = np.arange(-radius, radius + 1)
+            kernel = np.exp(-(t**2) / (2 * sigma * sigma))
+            kernel /= kernel.sum()
+            rows, cols = self.F.shape
+            dense = (
+                _clamped_smoothing_matrix(rows, kernel)
+                @ self.F
+                @ _clamped_smoothing_matrix(cols, kernel).T
+            )
+            assert np.max(np.abs(_mollify(self.F, sigma) - dense)) <= 1e-14
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(pqbernstein.__file__).resolve().parent.parent)
+        code = (
+            "import sys, pqbernstein.cli\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert res.stdout.strip() == "[]"
 
 
 class TestDeltas:
