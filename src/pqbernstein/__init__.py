@@ -35,15 +35,12 @@ from .functions import CORPUS, LipschitzSpec, TargetFunction2D, resolve_function
 from .convergence import (
     BoundCertificate,
     HypothesisError,
-    ModulusEstimate,
+    ModulusTable,
     certify_bound,
     certification_sweep,
-    complete_modulus,
-    partial_modulus,
     delta_n,
     delta_m,
     delta_nm,
-    k_surrogate,
     verify_lipschitz,
 )
 from .voronovskaja import (

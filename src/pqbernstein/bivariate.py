@@ -22,8 +22,14 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .pq_core import PQPair, bracket_values, is_exact
-from .univariate import basis_row, basis_row_exact, nodes, uni_central_moment
+from .pq_core import PQPair, is_exact
+from .univariate import (
+    basis_row,
+    basis_row_exact,
+    nodes,
+    uni_central_moment,
+    uni_moment_closed,
+)
 
 Number = Union[int, float, Fraction]
 
@@ -188,10 +194,7 @@ def bi_moment_closed(which: str, params: BiParams, x: Number, y: Number) -> Numb
         pq, n, v = params.pq1, params.n, x
     else:
         pq, n, v = params.pq2, params.m, y
-    pq = pq if exact else pq.floats()
-    br = bracket_values(n, pq)
-    bm1 = br[n - 1] if n >= 1 else one * 0
-    return pq.p ** (n - 1) / br[n] * v + pq.q * bm1 / br[n] * v * v
+    return uni_moment_closed(2, n, v, pq)
 
 
 def bi_central_moment2(axis: str, params: BiParams, x: Number, y: Number) -> Number:

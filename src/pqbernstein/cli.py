@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -35,8 +34,8 @@ from .bivariate import (
     bi_moment_closed,
     korovkin_experiment,
 )
-from .convergence import THEOREMS, certification_sweep, certify_bound, HypothesisError
-from .expressions import ParseError, parse_expr
+from .convergence import THEOREMS, certification_sweep, HypothesisError
+from .expressions import EvalDomainError, ParseError
 from .functions import CORPUS, monomial_1d, monomial_2d, resolve_function
 from .pq_core import (
     PQPair,
@@ -119,6 +118,8 @@ def _degrees(text: str) -> list[int]:
 
 
 def cmd_pq(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be a nonnegative integer, got {args.n}")
     pq = _pqpair(args.p, args.q)
     rows = []
     for k in range(args.n + 1):
@@ -501,18 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    threads = os.environ.get("PQB_THREADS", "0")
-    try:
-        if int(threads) < 0:
-            raise ValueError
-    except ValueError:
-        print(f"PQB_THREADS must be a nonnegative integer, got {threads!r}", file=sys.stderr)
-        return 2
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ParseError, HypothesisError) as exc:
+    except (ValueError, ParseError, HypothesisError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

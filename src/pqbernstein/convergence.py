@@ -27,13 +27,25 @@ the Peetre-K surrogate mollifies with a separable truncated Gaussian
 (np.convolve over edge-padded rows and columns).  A certificate records
 measured left-hand side, computed bound, margin and pass flag, in both a
 pointwise form (node by node) and a uniform form (sup-grid deltas).
+
+Where the work lives.  A ``ModulusTable`` holds every grid table of one
+function, all derived from one evaluation of f on the OMEGA_GRID grid:
+the complete and partial modulus ladders and the Peetre-K pairs.  A
+table belongs to the ``certify_bound`` or ``certification_sweep`` call
+that made it and is dropped with it; nothing is cached at module level.
+The sweep runs function -> schedule -> degree: one table and one
+hypothesis check per (function, theorem), then |Bf - f| and the squared
+deltas once per (schedule, degree) for every theorem whose hypothesis
+held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,27 +55,26 @@ from .univariate import uni_central_moment
 
 __all__ = [
     "THEOREMS",
-    "ModulusEstimate",
     "ModulusTable",
-    "complete_modulus",
-    "partial_modulus",
     "delta_n",
     "delta_m",
     "delta_nm",
-    "k_surrogate",
     "HypothesisError",
     "verify_lipschitz",
     "BoundCertificate",
     "certify_bound",
     "certification_sweep",
-    "DEFAULT_MOLLIFY_SCALES",
+    "OMEGA_GRID",
+    "MOLLIFY_SCALES",
 ]
 
 THEOREMS = ("complete-modulus", "partial-moduli", "lipschitz", "c1", "peetre-k")
 
 PASS_SLACK = 1e-12  # pass iff lhs <= rhs + PASS_SLACK
 
-DEFAULT_MOLLIFY_SCALES = (0.0, 0.02, 0.05, 0.1, 0.2)
+OMEGA_GRID = 200  # cells per side of the grid behind the moduli, K pairs and C^1 norms
+
+MOLLIFY_SCALES = (0.0, 0.02, 0.05, 0.1, 0.2)  # Peetre-K family; 0 means g = f
 
 
 class HypothesisError(ValueError):
@@ -72,14 +83,6 @@ class HypothesisError(ValueError):
     def __init__(self, hypothesis: str, detail: str):
         self.hypothesis = hypothesis
         super().__init__(f"hypothesis {hypothesis!r} violated: {detail}")
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    delta: float
-    value: float
-    grid_resolution: int
-    direction: str  # 'complete' | 'partial-x' | 'partial-y'
 
 
 def _dilate(F: np.ndarray, r: int) -> np.ndarray:
@@ -123,28 +126,49 @@ def _mollify(F: np.ndarray, sigma: float) -> np.ndarray:
     return F
 
 
-class ModulusTable:
-    """Grid moduli of continuity for one function, queryable at any delta.
+def _nonnegative(delta) -> np.ndarray:
+    d = np.asarray(delta, dtype=float)
+    if np.any(d < 0):
+        raise ValueError("delta must be >= 0")
+    return d
 
-    The complete modulus is built by iterated grey dilation with discrete
-    discs (numpy, see ``_dilate``).  Compositions of discrete discs stay
-    inside the continuous disc of the summed radius, so every ladder value
-    is a valid LOWER estimate of the true modulus at its delta, converging
-    from below as the grid refines.
+
+class ModulusTable:
+    """Grid tables of one function f, queryable at any delta (scalar or
+    array; a scalar delta gives a float).
+
+    Each table is built on first use from ``F``, the values of f on the
+    (OMEGA_GRID + 1)^2 grid of [0,1]^2, which is evaluated once:
+
+    * ``omega``: the complete-modulus ladder, by iterated grey dilation
+      with discrete discs (see ``_dilate``).  Compositions of discrete
+      discs stay inside the continuous disc of the summed radius, so every
+      ladder value is a valid LOWER estimate of the true modulus at its
+      delta, converging from below as the grid refines.
+    * ``omega_partial``: the x and y partial-modulus ladders (largest
+      increment along one axis, the other coordinate frozen).
+    * ``peetre_k``: the Peetre-K surrogate, from pairs
+      (||f - g||, ||g||_C2) over the mollifications g of f at the scales
+      ``MOLLIFY_SCALES`` (see ``_mollify``).
+
+    A table lives as long as the caller holds it; ``certify_bound`` and
+    ``certification_sweep`` make one per function and drop it on return.
     """
 
     _EXACT_RADII = tuple(range(1, 9))
     _STEP = 4  # incremental disc radius past the exact prefix
+    h = 1.0 / OMEGA_GRID
 
-    def __init__(self, f: Callable, grid: int = 200):
-        self.grid = grid
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        self.h = 1.0 / grid
-        self.F = _eval_grid(f, xs, xs)
-        self._complete: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._partial: dict[str, np.ndarray] = {}
+    def __init__(self, f: Callable):
+        self.f = f
 
-    def _build_complete(self) -> None:
+    @cached_property
+    def F(self) -> np.ndarray:
+        xs = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
+        return _eval_grid(self.f, xs, xs)
+
+    @cached_property
+    def _complete(self) -> tuple[np.ndarray, np.ndarray]:
         F = self.F
         deltas = [0.0]
         values = [0.0]
@@ -154,73 +178,71 @@ class ModulusTable:
             deltas.append(radius * self.h)
             values.append(float(np.max(D - F)))
         # then march outward by composed dilations from the last exact disc
-        limit = int(math.ceil(math.sqrt(2.0) * self.grid))
+        limit = int(math.ceil(math.sqrt(2.0) * OMEGA_GRID))
         while radius < limit:
             D = _dilate(D, self._STEP)
             radius += self._STEP
             deltas.append(radius * self.h)
             values.append(float(np.max(D - F)))
-        vals = np.maximum.accumulate(np.array(values))
-        self._complete = (np.array(deltas), vals)
+        return np.array(deltas), np.maximum.accumulate(np.array(values))
 
-    def _build_partial(self, axis: str) -> None:
-        F = self.F
-        ax = 0 if axis == "x" else 1
-        vals = [0.0]
-        for d in range(1, self.grid + 1):
-            if ax == 0:
-                diff = np.abs(F[d:, :] - F[:-d, :])
-            else:
-                diff = np.abs(F[:, d:] - F[:, :-d])
-            vals.append(float(np.max(diff)))
-        self._partial[axis] = np.maximum.accumulate(np.array(vals))
+    @cached_property
+    def _partial(self) -> dict[str, np.ndarray]:
+        ladders = {}
+        for axis, G in (("x", self.F), ("y", self.F.T)):
+            vals = [0.0]
+            for d in range(1, OMEGA_GRID + 1):
+                vals.append(float(np.max(np.abs(G[d:] - G[:-d]))))
+            ladders[axis] = np.maximum.accumulate(np.array(vals))
+        return ladders
+
+    @cached_property
+    def _k_pairs(self) -> list[tuple[float, float]]:
+        # sup-norms on the grid, derivatives by central finite differences;
+        # ||g||_C2 = ||g|| + sum_{j=1,2} (||d^j g/dx^j|| + ||d^j g/dy^j||)
+        F, h = self.F, self.h
+        pairs = []
+        for sigma in MOLLIFY_SCALES:
+            G = F if sigma == 0 else _mollify(F, sigma / h)
+            dist = float(np.max(np.abs(F - G)))
+            gx = (G[2:, :] - G[:-2, :]) / (2 * h)
+            gy = (G[:, 2:] - G[:, :-2]) / (2 * h)
+            gxx = (G[2:, :] - 2 * G[1:-1, :] + G[:-2, :]) / (h * h)
+            gyy = (G[:, 2:] - 2 * G[:, 1:-1] + G[:, :-2]) / (h * h)
+            norm = float(
+                np.max(np.abs(G))
+                + np.max(np.abs(gx))
+                + np.max(np.abs(gxx))
+                + np.max(np.abs(gy))
+                + np.max(np.abs(gyy))
+            )
+            pairs.append((dist, norm))
+        return pairs
 
     def omega(self, delta) -> np.ndarray | float:
-        """Complete modulus at delta (scalar or array), from the ladder."""
-        if self._complete is None:
-            self._build_complete()
+        """Complete modulus w(f; delta), from the ladder."""
+        d = _nonnegative(delta)
         deltas, values = self._complete
-        d = np.asarray(delta, dtype=float)
-        idx = np.searchsorted(deltas, d + 1e-15, side="right") - 1
-        out = values[np.maximum(idx, 0)]
-        return float(out) if np.isscalar(delta) or d.ndim == 0 else out
+        out = values[np.searchsorted(deltas, d + 1e-15, side="right") - 1]
+        return float(out) if d.ndim == 0 else out
 
     def omega_partial(self, axis: str, delta) -> np.ndarray | float:
+        """Partial modulus of f along ``axis`` ('x' or 'y')."""
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        if axis not in self._partial:
-            self._build_partial(axis)
-        vals = self._partial[axis]
-        d = np.asarray(delta, dtype=float)
-        idx = np.minimum((d / self.h + 1e-9).astype(int), self.grid)
-        out = vals[idx]
-        return float(out) if np.isscalar(delta) or d.ndim == 0 else out
+        d = _nonnegative(delta)
+        idx = np.minimum((d / self.h + 1e-9).astype(int), OMEGA_GRID)
+        out = self._partial[axis][idx]
+        return float(out) if d.ndim == 0 else out
 
-
-_TABLE_CACHE: dict[tuple[int, int], ModulusTable] = {}
-
-
-def modulus_table(f: Callable, grid: int = 200) -> ModulusTable:
-    key = (id(f), grid)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = ModulusTable(f, grid)
-    return _TABLE_CACHE[key]
-
-
-def complete_modulus(f: Callable, delta: float, grid: int = 200) -> ModulusEstimate:
-    """Grid estimate of the complete modulus w(f; delta)."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    t = modulus_table(f, grid)
-    return ModulusEstimate(delta, float(t.omega(delta)), grid, "complete")
-
-
-def partial_modulus(f: Callable, axis: str, delta: float, grid: int = 200) -> ModulusEstimate:
-    """Grid estimate of the partial modulus (other coordinate frozen)."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    t = modulus_table(f, grid)
-    return ModulusEstimate(delta, float(t.omega_partial(axis, delta)), grid, f"partial-{axis}")
+    def peetre_k(self, delta) -> np.ndarray | float:
+        """Upper bound on the Peetre K-functional K(f, delta): the minimum
+        of ||f - g|| + delta ||g||_C2 over the mollification family."""
+        d = _nonnegative(delta)
+        best = np.full(d.shape, np.inf)
+        for dist, norm in self._k_pairs:
+            best = np.minimum(best, dist + d * norm)
+        return float(best) if d.ndim == 0 else best
 
 
 # --- the delta quantities ----------------------------------------------------
@@ -249,69 +271,7 @@ def delta_nm(params: BiParams, x, y) -> np.ndarray | float:
     return float(out) if (np.ndim(x) == 0 and np.ndim(y) == 0) else out
 
 
-# --- Peetre-K surrogate -------------------------------------------------------
-
-
-class _KSurrogate:
-    """Per-function mollification family: pairs (||f - g||, ||g||_C2).
-
-    g_sigma is a discrete Gaussian mollification of f (``_mollify``);
-    sigma = 0 means g = f itself.  Sup-norms on the grid, second partials by central
-    finite differences; the C^2 norm follows
-    ||g|| + sum_{j=1,2} (||d^j g/dx^j|| + ||d^j g/dy^j||).
-    """
-
-    def __init__(self, f: Callable, scales: Sequence[float], grid: int = 200):
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        h = 1.0 / grid
-        F = _eval_grid(f, xs, xs)
-        self.pairs: list[tuple[float, float]] = []
-        for sigma in scales:
-            G = F if sigma == 0 else _mollify(F, sigma / h)
-            dist = float(np.max(np.abs(F - G)))
-            gx = (G[2:, :] - G[:-2, :]) / (2 * h)
-            gy = (G[:, 2:] - G[:, :-2]) / (2 * h)
-            gxx = (G[2:, :] - 2 * G[1:-1, :] + G[:-2, :]) / (h * h)
-            gyy = (G[:, 2:] - 2 * G[:, 1:-1] + G[:, :-2]) / (h * h)
-            norm = float(
-                np.max(np.abs(G))
-                + np.max(np.abs(gx))
-                + np.max(np.abs(gxx))
-                + np.max(np.abs(gy))
-                + np.max(np.abs(gyy))
-            )
-            self.pairs.append((dist, norm))
-
-    def value(self, delta) -> np.ndarray | float:
-        d = np.asarray(delta, dtype=float)
-        best = np.full(d.shape, np.inf)
-        for dist, norm in self.pairs:
-            best = np.minimum(best, dist + d * norm)
-        return float(best) if d.ndim == 0 else best
-
-
-_K_CACHE: dict[tuple[int, tuple[float, ...], int], _KSurrogate] = {}
-
-
-def k_surrogate(
-    f: Callable,
-    delta,
-    smoothing_family: Sequence[float] = DEFAULT_MOLLIFY_SCALES,
-    grid: int = 200,
-) -> np.ndarray | float:
-    """Upper bound on the Peetre K-functional K(f, delta) by minimizing
-    ||f - g|| + delta ||g||_C2 over a mollification family."""
-    if np.any(np.asarray(delta) < 0):
-        raise ValueError("delta must be >= 0")
-    if not smoothing_family:
-        raise ValueError("smoothing family must be nonempty")
-    key = (id(f), tuple(smoothing_family), grid)
-    if key not in _K_CACHE:
-        _K_CACHE[key] = _KSurrogate(f, smoothing_family, grid)
-    return _K_CACHE[key].value(delta)
-
-
-# --- Lipschitz hypothesis verification ---------------------------------------
+# --- hypotheses ---------------------------------------------------------------
 
 
 def verify_lipschitz(
@@ -335,6 +295,47 @@ def verify_lipschitz(
         viol = dv - spec.M * dx * dy
         worst = max(worst, float(np.max(viol)))
     return worst <= tol, worst
+
+
+def _sup_partial_norms(tf: TargetFunction2D) -> tuple[float, float]:
+    xs = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    if tf.has_analytic_partials:
+        gx, gy = tf.fx(X, Y), tf.fy(X, Y)
+    else:
+        gx = fd_partial(tf.fn, X, Y, "x", 1, 1e-5)
+        gy = fd_partial(tf.fn, X, Y, "y", 1, 1e-5)
+    return float(np.max(np.abs(gx))), float(np.max(np.abs(gy)))
+
+
+def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
+    """Verify tf against one theorem's hypothesis class and return the
+    constants its bound takes from the class: the LipschitzSpec for
+    ``lipschitz``, the sup-norms of the first partials for ``c1``, None
+    for the others.
+
+    Raises ValueError for an unknown theorem and HypothesisError when tf
+    verifiably fails the class (Lipschitz membership, C^1 smoothness).
+    """
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem_id!r}; use one of {THEOREMS}")
+    if theorem_id == "lipschitz":
+        sp = tf.lipschitz
+        if sp is None:
+            raise HypothesisError("lipschitz-class", f"{tf.name} declares no Lipschitz class")
+        ok, worst = verify_lipschitz(tf.fn, sp)
+        if not ok:
+            raise HypothesisError(
+                "lipschitz-class",
+                f"{tf.name} violates Lip_M({sp.alpha1},{sp.alpha2}) "
+                f"with M={sp.M} (worst excess {worst:.3g})",
+            )
+        return sp
+    if theorem_id == "c1":
+        if not tf.c1:
+            raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
+        return _sup_partial_norms(tf)
+    return None
 
 
 # --- certificates -------------------------------------------------------------
@@ -366,74 +367,42 @@ class BoundCertificate:
     notes: str = ""
 
 
-def _lhs_matrix(tf: Callable, params: BiParams, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Gap(NamedTuple):
+    """|Bf - f| and the squared deltas on the certificate grid, for one
+    function at one degree pair: what every theorem's certificate shares."""
+
+    params: BiParams
+    grid: int
+    err: np.ndarray  # err[i, j] = |Bf - f| at (xs[i], xs[j])
+    dn2: np.ndarray  # d_n^2 over the x grid
+    dm2: np.ndarray  # d_m^2 over the y grid
+
+
+def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
     xs = np.linspace(0.0, 1.0, grid + 1)
-    B = bi_apply_grid(tf, params, xs, xs)
-    F = _eval_grid(tf, xs, xs)
-    return xs, np.abs(B - F), F
+    err = np.abs(bi_apply_grid(tf, params, xs, xs) - _eval_grid(tf, xs, xs))
+    dn2 = _delta2_axis(params.pq1, params.n, xs)
+    dm2 = _delta2_axis(params.pq2, params.m, xs)
+    return _Gap(params, grid, err, dn2, dm2)
 
 
-def _sup_partial_norms(tf: TargetFunction2D, grid: int = 200, fd_step: float = 1e-5):
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    if tf.has_analytic_partials:
-        gx, gy = tf.fx(X, Y), tf.fy(X, Y)
-    else:
-        gx = fd_partial(tf.fn, X, Y, "x", 1, fd_step)
-        gy = fd_partial(tf.fn, X, Y, "y", 1, fd_step)
-    return float(np.max(np.abs(gx))), float(np.max(np.abs(gy)))
-
-
-def certify_bound(
+def _certificate(
     theorem_id: str,
     tf: TargetFunction2D,
-    params: BiParams,
-    grid: int = 50,
-    omega_grid: int = 200,
-    schedule_name: str = "",
-    smoothing_family: Sequence[float] = DEFAULT_MOLLIFY_SCALES,
+    constants,
+    table: ModulusTable,
+    gap: _Gap,
+    schedule_name: str,
 ) -> BoundCertificate:
-    """Certify one theorem bound for one function at one degree pair.
-
-    Raises HypothesisError when the function verifiably fails the
-    theorem's hypothesis class (Lipschitz membership, C^1 smoothness).
-    """
-    if theorem_id not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem_id!r}; use one of {THEOREMS}")
-
-    xs, lhsM, _ = _lhs_matrix(tf, params, grid)
+    """One theorem's certificate, given its hypothesis constants (from
+    ``_check_hypothesis``), the function's tables and the shared gap."""
+    lhsM, dn2, dm2 = gap.err, gap.dn2, gap.dm2
     lhs_sup = float(np.max(lhsM))
-    dn2 = _delta2_axis(params.pq1, params.n, xs)  # over x grid
-    dm2 = _delta2_axis(params.pq2, params.m, xs)  # over y grid
     dn = np.sqrt(dn2)
     dm = np.sqrt(dm2)
     variants: dict[str, float] = {}
-    notes = ""
-
-    def finish(rhsM, rhsM_cons, rhs_u, rhs_uc) -> BoundCertificate:
-        pw = bool(np.all(lhsM <= rhsM + PASS_SLACK))
-        pwc = bool(np.all(lhsM <= rhsM_cons + PASS_SLACK))
-        passed = pwc and lhs_sup <= rhs_uc + PASS_SLACK
-        return BoundCertificate(
-            theorem_id=theorem_id,
-            f_name=tf.name,
-            schedule=schedule_name,
-            n=params.n,
-            m=params.m,
-            grid=grid,
-            lhs=lhs_sup,
-            rhs=rhs_u,
-            rhs_conservative=rhs_uc,
-            margin=rhs_uc - lhs_sup,
-            pointwise_ok=pw,
-            pointwise_ok_conservative=pwc,
-            passed=passed,
-            variants=variants,
-            notes=notes,
-        )
 
     if theorem_id == "complete-modulus":
-        table = modulus_table(tf.fn, omega_grid)
         D = np.sqrt(dn2[:, None] + dm2[None, :])
         rhsM = 2 * table.omega(D)
         rhsM_cons = 2 * table.omega(2 * D)
@@ -441,10 +410,7 @@ def certify_bound(
         rhs_u = 2 * float(table.omega(dsup))
         rhs_uc = 2 * float(table.omega(2 * dsup))
         variants["delta_sup"] = dsup
-        return finish(rhsM, rhsM_cons, rhs_u, rhs_uc)
-
-    if theorem_id == "partial-moduli":
-        table = modulus_table(tf.fn, omega_grid)
+    elif theorem_id == "partial-moduli":
         w1 = table.omega_partial("x", dn)
         w2 = table.omega_partial("y", dm)
         w1c = table.omega_partial("x", 2 * dn)
@@ -459,19 +425,8 @@ def certify_bound(
         )
         variants["rhs_sharp_uniform"] = rhs_u
         variants["sharp_pointwise_ok"] = float(np.all(lhsM <= rhsM + PASS_SLACK))
-        return finish(rhsM, rhsM_cons, rhs_u, rhs_uc)
-
-    if theorem_id == "lipschitz":
-        if tf.lipschitz is None:
-            raise HypothesisError("lipschitz-class", f"{tf.name} declares no Lipschitz class")
-        ok, worst = verify_lipschitz(tf.fn, tf.lipschitz)
-        if not ok:
-            raise HypothesisError(
-                "lipschitz-class",
-                f"{tf.name} violates Lip_M({tf.lipschitz.alpha1},{tf.lipschitz.alpha2}) "
-                f"with M={tf.lipschitz.M} (worst excess {worst:.3g})",
-            )
-        sp = tf.lipschitz
+    elif theorem_id == "lipschitz":
+        sp = constants
         # exponent convention: the sharp bound is d^alpha; the d^(alpha/2)
         # variant is larger (d <= 1) and kept as the conservative column
         rhsM = sp.M * dn[:, None] ** sp.alpha1 * dm[None, :] ** sp.alpha2
@@ -481,26 +436,54 @@ def certify_bound(
         rhs_uc = sp.M * dn_sup ** (sp.alpha1 / 2) * dm_sup ** (sp.alpha2 / 2)
         variants["rhs_derived_uniform"] = rhs_u
         variants["derived_pointwise_ok"] = float(np.all(lhsM <= rhsM + PASS_SLACK))
-        return finish(rhsM, rhsM_cons, rhs_u, rhs_uc)
-
-    if theorem_id == "c1":
-        if not tf.c1:
-            raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
-        nx, ny = _sup_partial_norms(tf)
-        rhsM = nx * dn[:, None] + ny * dm[None, :]
-        dn_sup, dm_sup = float(np.max(dn)), float(np.max(dm))
-        rhs_u = nx * dn_sup + ny * dm_sup
+    elif theorem_id == "c1":
+        nx, ny = constants
+        rhsM = rhsM_cons = nx * dn[:, None] + ny * dm[None, :]
+        rhs_u = rhs_uc = nx * float(np.max(dn)) + ny * float(np.max(dm))
         variants["norm_fx"] = nx
         variants["norm_fy"] = ny
-        return finish(rhsM, rhsM, rhs_u, rhs_u)
+    else:  # peetre-k
+        D = 0.5 * np.maximum(dn2[:, None], dm2[None, :])
+        rhsM = rhsM_cons = 2 * table.peetre_k(D / 2)
+        dsup = float(np.max(D))
+        rhs_u = rhs_uc = 2 * table.peetre_k(dsup / 2)
+        variants["delta_star_sup"] = dsup
 
-    # peetre-k
-    D = 0.5 * np.maximum(dn2[:, None], dm2[None, :])
-    rhsM = 2 * np.asarray(k_surrogate(tf.fn, D / 2, smoothing_family, omega_grid))
-    dsup = float(np.max(D))
-    rhs_u = 2 * float(k_surrogate(tf.fn, dsup / 2, smoothing_family, omega_grid))
-    variants["delta_star_sup"] = dsup
-    return finish(rhsM, rhsM, rhs_u, rhs_u)
+    pwc = bool(np.all(lhsM <= rhsM_cons + PASS_SLACK))
+    return BoundCertificate(
+        theorem_id=theorem_id,
+        f_name=tf.name,
+        schedule=schedule_name,
+        n=gap.params.n,
+        m=gap.params.m,
+        grid=gap.grid,
+        lhs=lhs_sup,
+        rhs=rhs_u,
+        rhs_conservative=rhs_uc,
+        margin=rhs_uc - lhs_sup,
+        pointwise_ok=bool(np.all(lhsM <= rhsM + PASS_SLACK)),
+        pointwise_ok_conservative=pwc,
+        passed=pwc and lhs_sup <= rhs_uc + PASS_SLACK,
+        variants=variants,
+    )
+
+
+def certify_bound(
+    theorem_id: str,
+    tf: TargetFunction2D,
+    params: BiParams,
+    grid: int = 50,
+    schedule_name: str = "",
+) -> BoundCertificate:
+    """Certify one theorem bound for one function at one degree pair.
+
+    Raises HypothesisError when the function verifiably fails the
+    theorem's hypothesis class (Lipschitz membership, C^1 smoothness).
+    """
+    constants = _check_hypothesis(theorem_id, tf)
+    return _certificate(
+        theorem_id, tf, constants, ModulusTable(tf.fn), _gap(tf, params, grid), schedule_name
+    )
 
 
 def certification_sweep(
@@ -509,30 +492,34 @@ def certification_sweep(
     schedules: Sequence[ParamSchedule],
     degrees: Sequence[int],
     grid: int = 50,
-    omega_grid: int = 200,
 ) -> tuple[list[BoundCertificate], list[tuple[str, str, str]]]:
     """All certificates over the cross product, equal degrees n = m.
 
     Returns (certificates, skipped) where skipped holds
-    (theorem, function, reason) for hypothesis failures.
+    (theorem, function, reason) for hypothesis failures.  Both lists are
+    theorem-major, in the order of ``theorems``, then function, schedule
+    and degree: the order of one ``certify_bound`` call per combination.
     """
-    certs: list[BoundCertificate] = []
-    skipped: list[tuple[str, str, str]] = []
-    for theorem in theorems:
-        for tf in functions:
-            for sched in schedules:
-                for n in degrees:
-                    params = BiParams(sched.pair(n), sched.pair(n), n, n)
-                    try:
-                        certs.append(
-                            certify_bound(
-                                theorem, tf, params, grid, omega_grid, sched.name
-                            )
-                        )
-                    except HypothesisError as exc:
-                        skipped.append((theorem, tf.name, str(exc)))
-                        break  # same failure for every degree/schedule
-                else:
-                    continue
-                break
-    return certs, skipped
+    certs: list[tuple[int, BoundCertificate]] = []
+    skipped: list[tuple[int, tuple[str, str, str]]] = []
+    for tf in functions:
+        live = []
+        for rank, theorem in enumerate(theorems):
+            try:
+                live.append((rank, theorem, _check_hypothesis(theorem, tf)))
+            except HypothesisError as exc:
+                skipped.append((rank, (theorem, tf.name, str(exc))))
+        if not live:
+            continue
+        table = ModulusTable(tf.fn)
+        for sched in schedules:
+            for n in degrees:
+                gap = _gap(tf, BiParams(sched.pair(n), sched.pair(n), n, n), grid)
+                for rank, theorem, constants in live:
+                    cert = _certificate(theorem, tf, constants, table, gap, sched.name)
+                    certs.append((rank, cert))
+    # sorted() is stable, so each theorem keeps the function/schedule/degree order
+    return (
+        [c for _, c in sorted(certs, key=itemgetter(0))],
+        [s for _, s in sorted(skipped, key=itemgetter(0))],
+    )

@@ -14,19 +14,17 @@ from pqbernstein.bivariate import SCHEDULES, BiParams
 from pqbernstein.convergence import (
     THEOREMS,
     HypothesisError,
+    ModulusTable,
     _dilate,
     _mollify,
     certification_sweep,
     certify_bound,
-    complete_modulus,
     delta_m,
     delta_n,
     delta_nm,
-    k_surrogate,
-    partial_modulus,
     verify_lipschitz,
 )
-from pqbernstein.functions import CORPUS, LipschitzSpec
+from pqbernstein.functions import CORPUS, LipschitzSpec, from_expression
 from pqbernstein.pq_core import PQPair
 
 
@@ -37,17 +35,17 @@ def _params(n=8, m=8):
 
 class TestModulus:
     def test_zero_at_zero_and_nondecreasing(self):
-        f = CORPUS["ripple"].fn
-        vals = [complete_modulus(f, d).value for d in (0.0, 0.05, 0.1, 0.3, 0.8)]
+        table = ModulusTable(CORPUS["ripple"].fn)
+        vals = [table.omega(d) for d in (0.0, 0.05, 0.1, 0.3, 0.8)]
         assert vals[0] == 0.0
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
     def test_linear_function_modulus_is_exact(self):
         # omega(linx, delta) = delta for delta <= 1; the discrete estimate
         # is a lower bound, within grid resolution of the true value
-        f = CORPUS["linx"].fn
+        table = ModulusTable(CORPUS["linx"].fn)
         for d in (0.1, 0.25, 0.5):
-            est = complete_modulus(f, d).value
+            est = table.omega(d)
             assert est <= d + 1e-12
             assert est >= d - 0.02
 
@@ -56,24 +54,31 @@ class TestModulus:
         # The discrete estimator is exact only for radii up to 8 grid cells
         # (1/200 spacing) and a sound lower estimate beyond, so the check is
         # made where both radii fall in the exact range.
-        f = CORPUS["ripple"].fn
+        table = ModulusTable(CORPUS["ripple"].fn)
         for d in (0.005, 0.01, 0.02):
-            assert complete_modulus(f, 2 * d).value <= 2 * complete_modulus(
-                f, d
-            ).value + 1e-12
+            assert table.omega(2 * d) <= 2 * table.omega(d) + 1e-12
 
     def test_partial_moduli_bounded_by_complete(self):
-        f = CORPUS["prodxy"].fn
+        table = ModulusTable(CORPUS["prodxy"].fn)
         for d in (0.1, 0.3):
-            full = complete_modulus(f, d).value
-            assert partial_modulus(f, "x", d).value <= full + 1e-12
-            assert partial_modulus(f, "y", d).value <= full + 1e-12
+            full = table.omega(d)
+            assert table.omega_partial("x", d) <= full + 1e-12
+            assert table.omega_partial("y", d) <= full + 1e-12
 
     def test_partial_modulus_of_one_variable_function(self):
         # liny is constant in x, so its x-partial modulus vanishes
-        f = CORPUS["liny"].fn
-        assert partial_modulus(f, "x", 0.4).value == 0.0
-        assert partial_modulus(f, "y", 0.4).value > 0.3
+        table = ModulusTable(CORPUS["liny"].fn)
+        assert table.omega_partial("x", 0.4) == 0.0
+        assert table.omega_partial("y", 0.4) > 0.3
+
+    def test_negative_delta_rejected(self):
+        table = ModulusTable(CORPUS["quad"].fn)
+        with pytest.raises(ValueError):
+            table.omega(-0.1)
+        with pytest.raises(ValueError):
+            table.omega_partial("x", np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            table.peetre_k(-0.1)
 
 
 def _brute_dilate(F, r):
@@ -164,17 +169,15 @@ class TestDeltas:
 
 class TestKSurrogate:
     def test_nonnegative_and_nondecreasing_in_delta(self):
-        f = CORPUS["vee"].fn
         deltas = np.array([0.0, 0.01, 0.05, 0.1, 0.5])
-        vals = k_surrogate(f, deltas)
+        vals = ModulusTable(CORPUS["vee"].fn).peetre_k(deltas)
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_bounded_by_identity_candidate(self):
         # taking g = f (sigma = 0) shows K(delta) <= delta * ||f||_{C^2}
         # whenever f itself is smooth; for quad this is a finite bound
-        tf = CORPUS["quad"]
-        val = float(k_surrogate(tf.fn, 0.01))
+        val = ModulusTable(CORPUS["quad"].fn).peetre_k(0.01)
         assert val <= 0.01 * 20.0  # generous C^2-norm ceiling for x^2+y^2
 
 
@@ -239,3 +242,50 @@ class TestCertificates:
         lo = certify_bound("complete-modulus", CORPUS["ripple"], _params(4, 4))
         hi = certify_bound("complete-modulus", CORPUS["ripple"], _params(32, 32))
         assert hi.lhs < lo.lhs
+
+    def test_sweep_equals_one_certify_bound_call_each(self):
+        functions = [CORPUS[k] for k in ("const1", "quad", "vee", "lip_half")]
+        sched = SCHEDULES["i"]
+        certs, skipped = certification_sweep(THEOREMS, functions, [sched], [4, 8])
+        ref_certs, ref_skipped = [], []
+        for theorem in THEOREMS:
+            for tf in functions:
+                try:
+                    for n in (4, 8):
+                        params = BiParams(sched.pair(n), sched.pair(n), n, n)
+                        ref_certs.append(
+                            certify_bound(theorem, tf, params, schedule_name=sched.name)
+                        )
+                except HypothesisError as exc:
+                    ref_skipped.append((theorem, tf.name, str(exc)))
+        assert len(certs) == len(ref_certs)
+        for cert, ref in zip(certs, ref_certs):
+            assert vars(cert) == vars(ref)
+        assert skipped == ref_skipped
+        assert {(s[0], s[1]) for s in skipped} == {
+            ("lipschitz", "quad"),
+            ("lipschitz", "vee"),
+            ("lipschitz", "lip_half"),
+            ("c1", "vee"),
+            ("c1", "lip_half"),
+        }
+
+
+def test_no_table_outlives_its_function():
+    # An id(f)-keyed cache hands a freed function's tables to a new
+    # function that reuses its id.  Alternate x and 10*x, freeing each:
+    # every modulus, K value and certificate must scale with the live
+    # function.
+    ref = ModulusTable(lambda x, y: x + 0.0 * y)
+    k_ref = ref.peetre_k(0.01)
+    params = _params(8, 8)
+    for i in range(50):
+        scale = 10.0 if i % 2 else 1.0
+        tf = from_expression("10*x" if i % 2 else "x")
+        table = ModulusTable(tf.fn)
+        assert table.omega(0.5) == pytest.approx(0.5 * scale, rel=1e-12)
+        cert = certify_bound("complete-modulus", tf, params)
+        assert cert.rhs == 2 * table.omega(cert.variants["delta_sup"])
+        assert cert.rhs_conservative == 2 * table.omega(2 * cert.variants["delta_sup"])
+        assert table.peetre_k(0.01) == pytest.approx(k_ref * scale, rel=1e-9)
+        del tf, table, cert
