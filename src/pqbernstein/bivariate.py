@@ -112,15 +112,71 @@ SCHEDULES: dict[str, ParamSchedule] = {
 def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     """Double sum of basis times f at the tensor nodes (float path).
 
-    Iterated compensated sums: inner index j, outer k, so the result is
-    deterministic and schedule-independent.
+    Inner index j, outer k.  Each inner sum sum_j wy[j] f(s_k, t_j) and
+    the outer sum sum_k wx[k] inner_k is correctly rounded from its
+    rounded products, so the result depends neither on summation order
+    nor on BLAS.  Terms with a zero weight add nothing to an exact sum and
+    are skipped; rows are summed in blocks of _BLOCK_ROWS, which bounds
+    the memory of the sums.
     """
     wx = basis_row(params.n, float(x), params.pq1)
     wy = basis_row(params.m, float(y), params.pq2)
     sx = nodes(params.n, params.pq1.floats())
     ty = nodes(params.m, params.pq2.floats())
     F = _eval_grid(f, sx, ty)
-    return math.fsum(wx[k] * math.fsum(wy * F[k, :]) for k in range(params.n + 1))
+    rows, cols = np.flatnonzero(wx), np.flatnonzero(wy)
+    inner = np.empty(rows.size)
+    for b in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[b : b + _BLOCK_ROWS]
+        inner[b : b + _BLOCK_ROWS] = _exact_row_sums(F[np.ix_(block, cols)] * wy[cols])
+    return float(_exact_row_sums((wx[rows] * inner)[None, :])[0])
+
+
+# Exact row sums.  A finite x = mant * 2**e (np.frexp) is the integer
+# mant * 2**(e + 1073) times 2**-1126, the weight of the lowest significand
+# bit of the smallest subnormal 2**-1074 = 2**52 * 2**-1126.  So a row's
+# exact sum is an integer T times 2**-1126, held in _DIGITS 32-bit digits:
+# an entry's lowest bit sits at most at bit 2097, in digit 65, and its
+# 53-bit significand reaches two digits further.
+_LSB_SHIFT = 1126
+_DIGITS = 68
+_BLOCK_ROWS = 32
+
+
+def _exact_row_sums(A: np.ndarray) -> np.ndarray:
+    """Correctly rounded (round-half-even) exact sum of each row of a
+    finite 2-D array: bit for bit what ``math.fsum`` returns on the row.
+
+    Each entry is cut into three signed 32-bit digits at its place in T;
+    np.bincount adds the digits of each row into float64 bins, exactly
+    while a row has fewer than 2**21 entries.  Carries then normalise the
+    bins in int64, and one Python int per row, divided by 2**1126, rounds
+    once (int true division is correctly rounded).
+    """
+    rows = A.shape[0]
+    mant, e = np.frexp(A)
+    e += _LSB_SHIFT - 53  # position of the lowest significand bit in T
+    # in units of 2**(32 * (e >> 5) + 64 - 1126) an entry lies in
+    # (-2**20, 2**20); its integer part is the top digit, and its fraction,
+    # scaled by 2**32 twice, gives the other two (all exact, signs kept)
+    frac, hi = np.modf(np.ldexp(mant, (e & 31) - 11))
+    frac, mid = np.modf(frac * 2.0**32)
+    lo = frac * 2.0**32
+    at = ((e >> 5) + np.arange(0, rows * _DIGITS, _DIGITS)[:, None]).ravel()
+    size = rows * _DIGITS
+    bins = np.bincount(at, lo.ravel(), size)
+    bins[1:] += np.bincount(at, mid.ravel(), size)[:-1]
+    bins[2:] += np.bincount(at, hi.ravel(), size)[:-2]
+    T = bins.astype(np.int64).reshape(rows, _DIGITS)
+    for j in range(_DIGITS - 1):
+        T[:, j + 1] += T[:, j] >> 32
+    low = (T[:, :-1] & 0xFFFFFFFF).astype("<u4")
+    top = 32 * (_DIGITS - 1)
+    scale = 1 << _LSB_SHIFT
+    return np.array([
+        (int.from_bytes(digits.tobytes(), "little") + (t << top)) / scale
+        for digits, t in zip(low, T[:, -1].tolist())
+    ])
 
 
 def bi_apply_exact(f: Callable, params: BiParams, x: Fraction, y: Fraction) -> Fraction:
@@ -140,14 +196,24 @@ def bi_apply_exact(f: Callable, params: BiParams, x: Fraction, y: Fraction) -> F
 
 
 def _eval_grid(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """f on the outer product grid, tolerating scalar-only callables."""
+    """f on the outer product grid, tolerating scalar-only callables.
+
+    Every value must be finite: the first non-finite one raises
+    ValueError naming f and the node.
+    """
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        F = np.asarray(f(X, Y), dtype=float)
-        if F.shape != X.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        F = np.array([[float(f(a, b)) for b in ys] for a in xs])
+    with np.errstate(all="ignore"):
+        try:
+            F = np.asarray(f(X, Y), dtype=float)
+            if F.shape != X.shape:
+                raise ValueError
+        except (TypeError, ValueError):
+            F = np.array([[float(f(a, b)) for b in ys] for a in xs])
+    finite = np.isfinite(F)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        name = getattr(f, "name", None) or getattr(f, "__name__", "f")
+        raise ValueError(f"{name} is not finite at the node ({xs[i]}, {ys[j]}): {F[i, j]}")
     return F
 
 
@@ -231,6 +297,14 @@ class KorovkinRow:
     warn: str = ""
 
 
+def _check_grid(grid: int) -> None:
+    """A sup over the uniform (grid+1)^2 lattice needs at least 11 points
+    per axis.  At grid 0 or 1 the lattice is only the corners, where
+    B f = f, so every error bound would hold vacuously."""
+    if grid < 10:
+        raise ValueError(f"grid resolution must be >= 11 points per axis, got {grid + 1}")
+
+
 def sup_error_grid(
     f: Callable, params: BiParams, grid: int = 50
 ) -> float:
@@ -254,8 +328,7 @@ def korovkin_experiment(
     A row is flagged when the schedule's empirical limits have visibly
     stalled (degenerate schedule diagnostics), never raised.
     """
-    if grid < 10:
-        raise ValueError(f"grid resolution must be >= 11 points per axis, got {grid + 1}")
+    _check_grid(grid)
     rows = []
     for n, m in degrees:
         params = BiParams(sched1.pair(n), sched2.pair(m), n, m)

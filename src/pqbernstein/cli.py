@@ -131,6 +131,8 @@ def cmd_pq(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.grid < 0:
+        raise ValueError(f"--grid must be a nonnegative integer, got {args.grid}")
     tf = resolve_function(args.f)
     params = BiParams(_pqpair(args.p1, args.q1), _pqpair(args.p2, args.q2), args.n, args.m)
     xs = np.linspace(0.0, 1.0, args.grid + 1)

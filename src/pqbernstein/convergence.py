@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bivariate import BiParams, ParamSchedule, bi_apply_grid, _eval_grid
+from .bivariate import BiParams, ParamSchedule, bi_apply_grid, _check_grid, _eval_grid
 from .functions import LipschitzSpec, TargetFunction2D, fd_partial
 from .univariate import uni_central_moment
 
@@ -379,6 +379,7 @@ class _Gap(NamedTuple):
 
 
 def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
+    _check_grid(grid)
     xs = np.linspace(0.0, 1.0, grid + 1)
     err = np.abs(bi_apply_grid(tf, params, xs, xs) - _eval_grid(tf, xs, xs))
     dn2 = _delta2_axis(params.pq1, params.n, xs)

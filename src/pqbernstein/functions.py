@@ -207,11 +207,14 @@ def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
     def fn(x, y):
         return ast.eval(x, y)
 
+    name = f"expr:{text}"
+    fn.__name__ = name  # errors about fn can then say which function
+
     def partial(axis, order):
         return lambda x, y: fd_partial(fn, x, y, axis, order, fd_step)
 
     return TargetFunction2D(
-        name=f"expr:{text}",
+        name=name,
         fn=fn,
         fx=partial("x", 1),
         fy=partial("y", 1),

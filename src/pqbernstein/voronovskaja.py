@@ -133,10 +133,13 @@ def voronovskaja_trace(
     same schedule on both axes; the predicted limit is
     a(x-x^2) f_xx/2 + a(y-y^2) f_yy/2 (no mixed-derivative term)."""
     x, y = point
-    fxx, fyy = _second_partials_at(tf, x, y, fd_fallback)
+    with np.errstate(all="ignore"):
+        fxx, fyy = _second_partials_at(tf, x, y, fd_fallback)
+        f_at = float(np.asarray(tf.fn(x, y)))
+    if not all(map(math.isfinite, (fxx, fyy, f_at))):
+        raise ValueError(f"{tf.name} or its second partials are not finite at ({x}, {y})")
     a = schedule.declared_a
     limit = a * (x - x * x) * fxx / 2 + a * (y - y * y) * fyy / 2
-    f_at = float(np.asarray(tf.fn(x, y)))
     values = []
     for n in degrees:
         pq = schedule.pair(n)

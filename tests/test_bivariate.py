@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqbernstein.bivariate import (
     SCHEDULES,
     BiParams,
     ParamSchedule,
+    _exact_row_sums,
     bi_apply,
     bi_apply_exact,
     bi_apply_grid,
@@ -19,9 +22,9 @@ from pqbernstein.bivariate import (
     korovkin_experiment,
     sup_error_grid,
 )
-from pqbernstein.functions import CORPUS
+from pqbernstein.functions import CORPUS, from_expression
 from pqbernstein.pq_core import PQPair
-from pqbernstein.univariate import uni_apply
+from pqbernstein.univariate import basis_row, nodes, uni_apply
 
 EXACT_PAIRS = [
     (PQPair(Fraction(1), Fraction(1, 2)), PQPair(Fraction(3, 4), Fraction(1, 2))),
@@ -181,3 +184,88 @@ class TestKorovkin:
         params = _params(6, 6)
         assert sup_error_grid(CORPUS["linx"].fn, params, grid=20) <= 1e-13
         assert sup_error_grid(CORPUS["const1"].fn, params, grid=20) <= 1e-13
+
+
+# |entry| <= 2**990 and at most 64 entries a row keep every partial sum
+# below 2**1000; math.fsum raises OverflowError on intermediate overflow
+_ENTRY = st.one_of(
+    st.floats(min_value=-(2.0**990), max_value=2.0**990),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-53, 1.0, -1.0]),
+)
+
+
+@st.composite
+def _rows(draw):
+    cols = draw(st.integers(min_value=0, max_value=32))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # exact cancellation, the negated copy in reverse order
+        rows = [r + [-v for v in reversed(r)] for r in rows]
+    return rows
+
+
+def _fsum_bits(row) -> str:
+    # an exactly zero sum is +0.0 here, whatever sign math.fsum gives it
+    return (math.fsum(row) + 0.0).hex()
+
+
+class TestExactRowSums:
+    @given(rows=_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, rows):
+        A = np.array(rows, dtype=float).reshape(len(rows), -1)
+        assert [float(v).hex() for v in _exact_row_sums(A)] == [_fsum_bits(r) for r in rows]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, 2.0**-53],  # half-way, rounds down to even
+            [1.0 + 2.0**-52, 2.0**-53],  # half-way, rounds up to even
+            [1.0, 2.0**-53, 5e-324],  # just above half-way
+            [5e-324, 5e-324, 5e-324],
+            [1.7976931348623157e308, -1.7976931348623157e308, 5e-324],
+            [0.1] * 10,
+            [-1.5, 2.0**-60, -(2.0**-60)],
+            [],
+        ],
+    )
+    def test_rounding_cases(self, row):
+        A = np.array(row, dtype=float).reshape(1, -1)
+        assert float(_exact_row_sums(A)[0]).hex() == _fsum_bits(row)
+
+
+def _nested_fsum(f, params, x, y):
+    """bi_apply as a nested math.fsum: one per row, then one over the rows."""
+    wx = basis_row(params.n, x, params.pq1)
+    wy = basis_row(params.m, y, params.pq2)
+    S, T = np.meshgrid(
+        nodes(params.n, params.pq1.floats()), nodes(params.m, params.pq2.floats()), indexing="ij"
+    )
+    F = f(S, T)
+    return math.fsum(wx[k] * math.fsum(wy * F[k, :]) for k in range(params.n + 1))
+
+
+class TestBiApplySums:
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_equals_nested_fsum(self, name):
+        pq = SCHEDULES[name].pair(300)
+        params = BiParams(pq, pq, 300, 300)
+        for fname in ("quad", "ripple"):
+            f = CORPUS[fname].fn
+            for x, y in ((0.01, 0.02), (0.5, 0.49), (0.99, 0.98)):
+                got = bi_apply(f, params, x, y)
+                assert got.hex() == _nested_fsum(f, params, x, y).hex(), (fname, x, y)
+
+    def test_equals_nested_fsum_asymmetric(self):
+        params = BiParams(PQPair(0.9, 0.6), PQPair(0.75, 0.5), 257, 129)
+        f = CORPUS["ripple"].fn
+        for x, y in ((0.03, 0.6), (0.45, 0.55), (0.8, 0.97)):
+            assert bi_apply(f, params, x, y).hex() == _nested_fsum(f, params, x, y).hex()
+
+    def test_non_finite_f_is_rejected(self):
+        params = _params(4, 4)
+        with pytest.raises(ValueError, match=r"expr:exp\(1000\*x\) is not finite"):
+            bi_apply(from_expression("exp(1000*x)").fn, params, 0.5, 0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            bi_apply_grid(lambda s, t: math.inf if s > 0.5 else s, params, [0.5], [0.5])

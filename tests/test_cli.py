@@ -103,11 +103,20 @@ class TestExitCodes:
             ["eval", "--f", "x +", "--n", "4", "--m", "4"],
             ["eval", "--f", "1/x", "--n", "4", "--m", "4"],
             ["eval", "--f", "sqrt(x-0.5)", "--n", "4", "--m", "4"],
+            ["eval", "--f", "exp(1000*x)", "--n", "4", "--m", "4", "--grid", "2"],
+            ["eval", "--f", "x", "--n", "4", "--m", "4", "--grid", "-1"],
+            ["voronovskaja", "--f", "exp(800*x)", "--point", "0.9,0.5", "--degrees", "16,32"],
+            ["certify", "--f", "quad", "--grid", "0", "--degrees", "4", "--schedule", "i"],
+            ["certify", "--f", "quad", "--grid", "1", "--degrees", "4", "--schedule", "i"],
             ["nonsense"],
         ):
             res = run_cli(argv)
             assert res.returncode == 2, argv
             assert "Traceback" not in res.stderr, argv
+            if argv != ["nonsense"]:  # argparse prints its usage first
+                # one line: no traceback and no numpy warnings
+                assert res.stderr.startswith("error: "), (argv, res.stderr)
+                assert res.stderr.count("\n") == 1, (argv, res.stderr)
 
     def test_hypothesis_violation_is_2(self):
         res = run_cli(

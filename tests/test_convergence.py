@@ -217,6 +217,15 @@ class TestCertificates:
         assert cert.pointwise_ok and cert.pointwise_ok_conservative
         assert cert.margin >= 0.0
 
+    def test_coarse_grid_rejected(self):
+        # at 1 or 2 points per axis the sup runs over the corners, where
+        # Bf = f, so every certificate would pass vacuously
+        for grid in (0, 1, 9):
+            with pytest.raises(ValueError, match="11 points per axis"):
+                certify_bound("complete-modulus", CORPUS["quad"], _params(), grid=grid)
+            with pytest.raises(ValueError, match="11 points per axis"):
+                certification_sweep(THEOREMS, [CORPUS["quad"]], [SCHEDULES["i"]], [4], grid)
+
     def test_hypothesis_rejection(self):
         with pytest.raises(HypothesisError):
             certify_bound("c1", CORPUS["vee"], _params())

@@ -133,3 +133,13 @@ class TestRichardson:
         extrap_err = abs(extrap - trace.predicted_limit)
         assert extrap_err < plain_err
         assert extrap_err <= 1e-2 * abs(trace.predicted_limit)
+
+
+def test_non_finite_f_is_rejected():
+    tf = from_expression("exp(800*x)")
+    # exp(720) overflows at the point itself
+    with pytest.raises(ValueError, match="second partials are not finite"):
+        voronovskaja_trace(tf, SCHEDULES["i"], (0.9, 0.5), [16, 32], fd_fallback=True)
+    # exp(400) is finite at the point, exp(800) is not at the node x = 1
+    with pytest.raises(ValueError, match="not finite at the node"):
+        voronovskaja_trace(tf, SCHEDULES["i"], (0.5, 0.5), [16, 32], fd_fallback=True)
