@@ -198,15 +198,16 @@ def bi_apply_exact(f: Callable, params: BiParams, x: Fraction, y: Fraction) -> F
 def _eval_grid(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """f on the outer product grid, tolerating scalar-only callables.
 
+    f is called once on the broadcast axes xs[:, None], ys[None, :] and
+    its result is broadcast to a C-contiguous (len(xs), len(ys)) array.
     Every value must be finite: the first non-finite one raises
     ValueError naming f and the node.
     """
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    shape = (len(xs), len(ys))
     with np.errstate(all="ignore"):
         try:
-            F = np.asarray(f(X, Y), dtype=float)
-            if F.shape != X.shape:
-                raise ValueError
+            F = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+            F = np.ascontiguousarray(np.broadcast_to(F, shape))
         except (TypeError, ValueError):
             F = np.array([[float(f(a, b)) for b in ys] for a in xs])
     finite = np.isfinite(F)
@@ -224,10 +225,8 @@ def bi_apply_grid(
 
     Returns an array of shape (len(xs), len(ys)).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    W1 = np.column_stack([basis_row(params.n, float(x), params.pq1) for x in xs])
-    W2 = np.column_stack([basis_row(params.m, float(y), params.pq2) for y in ys])
+    W1 = np.ascontiguousarray(basis_row(params.n, xs, params.pq1).T)
+    W2 = np.ascontiguousarray(basis_row(params.m, ys, params.pq2).T)
     F = _eval_grid(f, nodes(params.n, params.pq1.floats()), nodes(params.m, params.pq2.floats()))
     return W1.T @ F @ W2
 

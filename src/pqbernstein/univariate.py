@@ -48,9 +48,12 @@ __all__ = [
 ]
 
 
-def _check_x(x: float) -> None:
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must lie in [0,1], got {x!r}")
+def _brackets(n: int, r: float) -> list[float]:
+    """[0]_r, [1]_r, ..., [n]_r in float by [i]_r = 1 + r [i-1]_r."""
+    br = [0.0]
+    for _ in range(n):
+        br.append(br[-1] * r + 1.0)
+    return br
 
 
 def node(n: int, k: int, pq: PQPair) -> Number:
@@ -69,54 +72,41 @@ def nodes(n: int, pq: PQPair) -> list[Fraction] | np.ndarray:
     if pq.is_exact:
         br = bracket_values(n, pq)
         return [br[k] * pq.p ** (n - k) / br[n] for k in range(n + 1)]
-    r = pq.ratio
-    # [k]_r via recurrence; node_k = [k]_r / [n]_r
-    br = np.empty(n + 1)
-    br[0] = 0.0
-    acc = 0.0
-    for i in range(1, n + 1):
-        acc = acc * r + 1.0  # [i]_r = 1 + r [i-1]_r
-        br[i] = acc
+    br = np.array(_brackets(n, pq.ratio))
     return br / br[n]
 
 
-def basis_row(n: int, x: float, pq: PQPair) -> np.ndarray:
+def basis_row(n: int, x, pq: PQPair) -> np.ndarray:
     """All basis weights R_{n,0..n}(x) in float, via the r-reduced form.
 
-    Endpoints are exact by construction: x=0 puts unit mass on k=0, x=1
-    on k=n.
+    A scalar x gives one row of n+1 weights; a 1-D array x gives one row
+    per entry, shape (len(x), n+1), each bit for bit the scalar row.  The
+    log-factorials are computed once per call.  Endpoints are exact by
+    construction: x=0 puts unit mass on k=0, x=1 on k=n.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    _check_x(x)
-    w = np.zeros(n + 1)
-    if x == 0.0:
-        w[0] = 1.0
-        return w
-    if x == 1.0:
-        w[n] = 1.0
-        return w
-    r = float(pq.ratio)
-    # log Gaussian-binomial via cumulative log [i]_r
-    logbr = np.empty(n + 1)
-    logbr[0] = -math.inf
-    acc = 0.0
-    for i in range(1, n + 1):
-        acc = acc * r + 1.0
-        logbr[i] = math.log(acc)
-    logfact = np.concatenate(([0.0], np.cumsum(logbr[1:])))
-    # cumulative log of the falling factors 1 - r^s x, s = 0..n-1
-    rs = r ** np.arange(n)
-    logfall = np.concatenate(([0.0], np.cumsum(np.log1p(-rs * x))))
-    k = np.arange(n + 1)
-    logw = (
-        logfact[n]
-        - logfact[k]
-        - logfact[n - k]
-        + k * math.log(x)
-        + logfall[n - k]
-    )
-    return np.exp(logw)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~((xs >= 0) & (xs <= 1))
+    if bad.any():
+        raise ValueError(f"x must lie in [0,1], got {float(xs[bad][0])!r}")
+    w = np.zeros((xs.size, n + 1))
+    w[xs == 0.0, 0] = 1.0
+    w[xs == 1.0, n] = 1.0
+    inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+    if inner.size:
+        r = float(pq.ratio)
+        xi = xs[inner]
+        # log Gaussian-binomial via cumulative log [i]_r
+        logfact = np.cumsum([0.0] + [math.log(b) for b in _brackets(n, r)[1:]])
+        # cumulative log of the falling factors 1 - r^s x, s = 0..n-1
+        logfall = np.zeros((inner.size, n + 1))
+        np.cumsum(np.log1p(-(r ** np.arange(n)) * xi[:, None]), axis=1, out=logfall[:, 1:])
+        k = np.arange(n + 1)
+        logx = np.array([math.log(v) for v in xi.tolist()])[:, None]
+        logw = logfact[n] - logfact[k] - logfact[n - k] + k * logx + logfall[:, n - k]
+        w[inner] = np.exp(logw)
+    return w if np.ndim(x) else w[0]
 
 
 def basis_row_exact(n: int, x: Fraction, pq: PQPair) -> list[Fraction]:
@@ -240,6 +230,8 @@ def uni_central_moment(r: int, n: int, x: Number, pq: PQPair) -> Number:
     """
     if r not in (2, 4):
         raise ValueError(f"central moment order must be 2 or 4, got {r}")
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
     exact = is_exact(pq, x)
     if not exact:
         pq = pq.floats()

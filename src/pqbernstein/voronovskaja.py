@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bivariate import BiParams, ParamSchedule, bi_apply
-from .functions import TargetFunction2D, fd_partial
+from .functions import TargetFunction2D
 from .pq_core import PQPair, bracket_values
 from .univariate import basis_row, nodes
 
@@ -106,35 +106,23 @@ def scaled_central_moment_limit_check(
     )
 
 
-def _second_partials_at(
-    tf: TargetFunction2D, x: float, y: float, fd_fallback: bool, fd_step: float = 1e-4
-) -> tuple[float, float]:
-    if tf.has_second_partials:
-        return float(np.asarray(tf.fxx(x, y))), float(np.asarray(tf.fyy(x, y)))
-    if not fd_fallback:
-        raise MissingDerivativesError(
-            f"{tf.name} has no registered second partials; pass fd_fallback=True "
-            "to accept finite-difference estimates (widened tolerance)"
-        )
-    return (
-        float(fd_partial(tf.fn, x, y, "x", 2, fd_step)),
-        float(fd_partial(tf.fn, x, y, "y", 2, fd_step)),
-    )
-
-
 def voronovskaja_trace(
     tf: TargetFunction2D,
     schedule: ParamSchedule,
     point: tuple[float, float],
     degrees: Sequence[int] = DEFAULT_DEGREES,
-    fd_fallback: bool = False,
 ) -> AsymptoticTrace:
     """Trace of [n] (B_{n,n} f - f) at one point, equal degrees and the
     same schedule on both axes; the predicted limit is
     a(x-x^2) f_xx/2 + a(y-y^2) f_yy/2 (no mixed-derivative term)."""
+    if not tf.has_second_partials:
+        raise MissingDerivativesError(
+            f"{tf.name} has no second partials; the Voronovskaja theorem needs f_xx and f_yy"
+        )
     x, y = point
     with np.errstate(all="ignore"):
-        fxx, fyy = _second_partials_at(tf, x, y, fd_fallback)
+        fxx = float(np.asarray(tf.fxx(x, y)))
+        fyy = float(np.asarray(tf.fyy(x, y)))
         f_at = float(np.asarray(tf.fn(x, y)))
     if not all(map(math.isfinite, (fxx, fyy, f_at))):
         raise ValueError(f"{tf.name} or its second partials are not finite at ({x}, {y})")

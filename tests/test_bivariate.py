@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pqbernstein.bivariate import (
     SCHEDULES,
     BiParams,
     ParamSchedule,
+    _eval_grid,
     _exact_row_sums,
     bi_apply,
     bi_apply_exact,
@@ -269,3 +271,32 @@ class TestBiApplySums:
             bi_apply(from_expression("exp(1000*x)").fn, params, 0.5, 0.5)
         with pytest.raises(ValueError, match="not finite"):
             bi_apply_grid(lambda s, t: math.inf if s > 0.5 else s, params, [0.5], [0.5])
+
+
+class TestEvalGrid:
+    XS = nodes(37, PQPair(0.9, 0.6))
+    YS = np.linspace(0.0, 1.0, 23)
+
+    @pytest.mark.parametrize(
+        "f",
+        [CORPUS[name].fn for name in sorted(CORPUS)]
+        + [from_expression(text).fn for text in ("1", "x", "y", "sin(pi*x)*exp(y)")]
+        + [lambda s, t: math.sin(s) * t],  # scalar-only
+    )
+    def test_equals_per_node_scalar_calls(self, f):
+        F = _eval_grid(f, self.XS, self.YS)
+        scalar = np.array([[float(np.asarray(f(a, b))) for b in self.YS] for a in self.XS])
+        assert F.dtype == np.float64 and F.flags["C_CONTIGUOUS"]
+        assert F.shape == (self.XS.size, self.YS.size)
+        assert F.tobytes() == scalar.tobytes()
+
+    def test_peak_memory_is_about_one_grid(self):
+        # no meshgrid: the node grids X and Y are never materialised
+        t = nodes(2048, PQPair(0.95, 0.9))
+        tracemalloc.start()
+        try:
+            F = _eval_grid(CORPUS["quad"].fn, t, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * F.nbytes

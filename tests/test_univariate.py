@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from pqbernstein.bivariate import SCHEDULES
 from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.univariate import (
     basis_row,
@@ -82,6 +83,78 @@ class TestBasis:
                 row = basis_row(n, float(x), pq)
                 assert abs(math.fsum(row) - 1.0) <= 1e-12
                 assert np.all(row >= -1e-15)
+
+
+def _reference_row(n, x, pq):
+    """One basis row by a per-x loop over the same log-domain arithmetic."""
+    if x in (0.0, 1.0):
+        w = np.zeros(n + 1)
+        w[0 if x == 0.0 else n] = 1.0
+        return w
+    r = pq.ratio
+    logbr, acc = [], 0.0
+    for _ in range(n):
+        acc = acc * r + 1.0
+        logbr.append(math.log(acc))
+    logfact = np.concatenate(([0.0], np.cumsum(logbr)))
+    logfall = np.concatenate(([0.0], np.cumsum(np.log1p(-(r ** np.arange(n)) * x))))
+    k = np.arange(n + 1)
+    return np.exp(logfact[n] - logfact[k] - logfact[n - k] + k * math.log(x) + logfall[n - k])
+
+
+class TestBasisArray:
+    @pytest.mark.parametrize("n", [1, 5, 32, 700, 2048])
+    def test_equals_stacked_scalar_rows(self, n):
+        xs = np.concatenate([[0.0, 1.0, 5e-324, 1 - 2**-53], np.linspace(0.0, 1.0, 23)])
+        for pq in (PQPair(0.9, 0.6), PQPair(1.0, 1 - 1e-6), SCHEDULES["ii"].pair(max(n, 2))):
+            W = basis_row(n, xs, pq)
+            assert W.shape == (xs.size, n + 1)
+            rows = np.stack([basis_row(n, float(x), pq) for x in xs])
+            reference = np.stack([_reference_row(n, float(x), pq) for x in xs])
+            assert W.tobytes() == rows.tobytes() == reference.tobytes()
+
+    def test_equals_reference_on_a_fine_grid(self):
+        # np.log and math.log differ in the last bit at a few of these x
+        xs = np.linspace(0.0, 1.0, 4001)
+        pq = PQPair(0.9, 0.6)
+        reference = np.stack([_reference_row(5, float(x), pq) for x in xs])
+        assert basis_row(5, xs, pq).tobytes() == reference.tobytes()
+
+    def test_rejects_entries_outside_unit_interval(self):
+        pq = PQPair(0.9, 0.6)
+        for bad in (1.5, -0.25, math.nan, math.inf):
+            with pytest.raises(ValueError, match="x must lie in"):
+                basis_row(5, np.array([0.0, 0.5, bad]), pq)
+            with pytest.raises(ValueError, match="x must lie in"):
+                basis_row(5, bad, pq)
+
+    @pytest.mark.parametrize("n", [128, 2048, 16384])
+    def test_partition_of_unity_to_large_n(self, n):
+        """|sum_k w_k - 1| at 101 points x in [0, 1], one call per pair.
+
+        Error model.  w_k = exp(L_k) with
+        L_k = l(n) - l(k) - l(n-k) + k ln x + lam(n-k), where
+        l(m) = sum_{i<=m} ln [i]_r and lam(j) = sum_{s<j} ln(1 - r^s x)
+        are running sums (np.cumsum) of at most n terms.  [i]_r <= i
+        bounds |l| by n ln n; for these x (at most 0.99) each
+        |ln(1 - r^s x)| <= ln 100 < ln n, so |lam| <= n ln n as well.
+        Each addition rounds with relative error at most u = 2^-53 of a
+        partial sum bounded by n ln n; taking the n roundings of a sum as
+        independent, its error has standard deviation at most
+        u n ln n sqrt(n).  L_k adds four such sums (the rounding of
+        k ln x is smaller), so sd(dL_k) <= 4 u n^1.5 ln n.  exp turns an
+        absolute error dL_k into the relative error dL_k of w_k, and the
+        exact weights sum to 1 (math.fsum adds the computed ones almost
+        exactly), so |sum - 1| <= max_k |dL_k|.  The tolerance allows
+        four standard deviations: 16 u n^1.5 ln n.
+        """
+        xs = np.linspace(0.0, 1.0, 101)
+        tol = 16 * 2.0**-53 * n**1.5 * math.log(n)
+        for pq in (PQPair(1.0, 1.0 - 1e-6), SCHEDULES["i"].pair(n)):
+            W = basis_row(n, xs, pq)
+            assert W.min() >= 0.0
+            worst = max(abs(math.fsum(row) - 1.0) for row in W)
+            assert worst <= tol, (pq, worst, tol)
 
 
 class TestOperator:

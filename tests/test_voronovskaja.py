@@ -99,7 +99,7 @@ class TestVoronovskajaTrace:
     def test_expression_functions_use_fd_partials(self):
         tf = from_expression("x^2 + y^2")
         sched = SCHEDULES["i"]
-        trace = voronovskaja_trace(tf, sched, (0.5, 0.5), degrees=(64,), fd_fallback=True)
+        trace = voronovskaja_trace(tf, sched, (0.5, 0.5), degrees=(64,))
         assert trace.predicted_limit == pytest.approx(0.5 * sched.declared_a, rel=1e-5)
 
     def test_missing_derivatives_raise(self):
@@ -139,7 +139,7 @@ def test_non_finite_f_is_rejected():
     tf = from_expression("exp(800*x)")
     # exp(720) overflows at the point itself
     with pytest.raises(ValueError, match="second partials are not finite"):
-        voronovskaja_trace(tf, SCHEDULES["i"], (0.9, 0.5), [16, 32], fd_fallback=True)
+        voronovskaja_trace(tf, SCHEDULES["i"], (0.9, 0.5), [16, 32])
     # exp(400) is finite at the point, exp(800) is not at the node x = 1
     with pytest.raises(ValueError, match="not finite at the node"):
-        voronovskaja_trace(tf, SCHEDULES["i"], (0.5, 0.5), [16, 32], fd_fallback=True)
+        voronovskaja_trace(tf, SCHEDULES["i"], (0.5, 0.5), [16, 32])
