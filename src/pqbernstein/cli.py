@@ -40,6 +40,7 @@ from .bivariate import (
 from .convergence import THEOREMS, certification_sweep
 from .functions import CORPUS, monomial_1d, monomial_2d, resolve_function
 from .pq_core import (
+    FloatRangeError,
     PQPair,
     bracket_values,
     pq_binomial,
@@ -59,7 +60,6 @@ from .voronovskaja import (
     central_moment_brute,
     richardson_extrapolate,
     voronovskaja_trace,
-    scaled_central_moment_limit_check,
 )
 
 SCHEMA_VERSION = 1
@@ -511,6 +511,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except FloatRangeError as exc:
+        # raised for the raw pairs of pq, moments and central-moments; the
+        # other subcommands use schedules or the r-reduced basis
+        print(f"error: --p/--q: {exc} on the float path", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:  # parse, hypothesis and domain errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,11 @@ the true modulus; every omega-based certificate therefore also reports a
 conservative column with omega evaluated at 2*delta, and the headline
 pass/fail is judged on that conservative column.  The complete modulus
 comes from numpy grey dilations by discrete discs (a disc is a stack of
-row segments, so each dilation is a max of shifted, edge-padded copies);
-the Peetre-K surrogate mollifies with a separable truncated Gaussian
-(np.convolve over edge-padded rows and columns).  A certificate records
+row segments, so each dilation is a max of shifted, edge-padded copies),
+marched outward until the dilation is max(f) everywhere; the Peetre-K
+surrogate mollifies with a separable truncated Gaussian (per axis, one
+np.convolve over the edge-padded lines laid end to end); the Lipschitz
+hypothesis is checked from per-axis power tables.  A certificate records
 measured left-hand side, computed bound, margin and pass flag, in both a
 pointwise form (node by node) and a uniform form (sup-grid deltas).
 
@@ -76,6 +78,10 @@ OMEGA_GRID = 200  # cells per side of the grid behind the moduli, K pairs and C^
 
 MOLLIFY_SCALES = (0.0, 0.02, 0.05, 0.1, 0.2)  # Peetre-K family; 0 means g = f
 
+LIPSCHITZ_SAMPLES = 60  # points per side of the grid behind the Lipschitz check
+
+LIPSCHITZ_TOL = 1e-9  # the Lipschitz check passes iff the worst violation <= this
+
 
 class HypothesisError(ValueError):
     """A theorem's hypothesis failed verification for the given function."""
@@ -111,19 +117,22 @@ def _dilate(F: np.ndarray, r: int) -> np.ndarray:
 
 def _mollify(F: np.ndarray, sigma: float) -> np.ndarray:
     """Discrete Gaussian mollification of F (sigma in grid cells), with
-    edge-clamped borders: a separable np.convolve with the normalised
-    Gaussian kernel truncated at 4 sigma."""
+    edge-clamped borders: a separable convolution with the normalised
+    Gaussian kernel truncated at 4 sigma.  Per axis, the edge-padded lines
+    lie end to end in one array and one np.convolve(..., "valid") call
+    smooths them all; each line keeps the outputs whose window stays
+    inside it, the same dot products as a convolve of that line alone."""
     radius = int(4.0 * sigma + 0.5)
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma * sigma) * t**2)
     kernel /= kernel.sum()
 
-    def smooth(v):
-        return np.convolve(np.pad(v, radius, mode="edge"), kernel, mode="valid")
+    def smooth_rows(G):
+        P = np.pad(G, ((0, 0), (radius, radius)), mode="edge")
+        out = np.convolve(P.ravel(), kernel, mode="valid")
+        return np.pad(out, (0, 2 * radius)).reshape(P.shape)[:, : G.shape[1]]
 
-    for axis in (0, 1):
-        F = np.apply_along_axis(smooth, axis, F)
-    return F
+    return smooth_rows(smooth_rows(F.T).T)
 
 
 def _nonnegative(delta) -> np.ndarray:
@@ -144,7 +153,10 @@ class ModulusTable:
       with discrete discs (see ``_dilate``).  Compositions of discrete
       discs stay inside the continuous disc of the summed radius, so every
       ladder value is a valid LOWER estimate of the true modulus at its
-      delta, converging from below as the grid refines.
+      delta, converging from below as the grid refines.  The march stops
+      at the grid diagonal, or once the dilation equals max(F) at every
+      node: every later value would repeat, and omega returns the last
+      value past the last delta.
     * ``omega_partial``: the x and y partial-modulus ladders (largest
       increment along one axis, the other coordinate frozen).
     * ``peetre_k``: the Peetre-K surrogate, from pairs
@@ -177,9 +189,11 @@ class ModulusTable:
             D = _dilate(F, radius)
             deltas.append(radius * self.h)
             values.append(float(np.max(D - F)))
-        # then march outward by composed dilations from the last exact disc
+        # then march outward by composed dilations from the last exact disc,
+        # to the diagonal or until D is max(F) everywhere (rungs repeat after)
         limit = int(math.ceil(math.sqrt(2.0) * OMEGA_GRID))
-        while radius < limit:
+        top = np.max(F)
+        while radius < limit and np.min(D) < top:
             D = _dilate(D, self._STEP)
             radius += self._STEP
             deltas.append(radius * self.h)
@@ -274,27 +288,27 @@ def delta_nm(params: BiParams, x, y) -> np.ndarray | float:
 # --- hypotheses ---------------------------------------------------------------
 
 
-def verify_lipschitz(
-    f: Callable, spec: LipschitzSpec, samples: int = 60, tol: float = 1e-9
-) -> tuple[bool, float]:
-    """Check |f(s,t)-f(x,y)| <= M |s-x|^a1 |t-y|^a2 on a subsampled pair
-    grid; returns (ok, worst violation)."""
-    xs = np.linspace(0.0, 1.0, samples)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+def verify_lipschitz(f: Callable, spec: LipschitzSpec) -> tuple[bool, float]:
+    """Check |f(s,t)-f(x,y)| <= M |s-x|^a1 |t-y|^a2 over all point pairs of
+    the LIPSCHITZ_SAMPLES^2 grid; returns (worst <= LIPSCHITZ_TOL, worst
+    violation).  The bound comes from two power tables, M |s-x|^a1 and
+    |t-y|^a2, multiplied in that order, one grid row x_i at a time."""
+    xs = np.linspace(0.0, 1.0, LIPSCHITZ_SAMPLES)
     F = _eval_grid(f, xs, xs)
-    flatF = F.ravel()
-    flatX = X.ravel()
-    flatY = Y.ravel()
+    gaps = np.abs(xs[:, None] - xs[None, :])
+    bx = spec.M * gaps**spec.alpha1
+    by = gaps**spec.alpha2
+    viol = np.empty((LIPSCHITZ_SAMPLES,) * 3)
+    bound = np.empty_like(viol)
     worst = 0.0
-    chunk = 256
-    for start in range(0, flatF.size, chunk):
-        end = min(start + chunk, flatF.size)
-        dv = np.abs(flatF[start:end, None] - flatF[None, :])
-        dx = np.abs(flatX[start:end, None] - flatX[None, :]) ** spec.alpha1
-        dy = np.abs(flatY[start:end, None] - flatY[None, :]) ** spec.alpha2
-        viol = dv - spec.M * dx * dy
+    for i in range(LIPSCHITZ_SAMPLES):
+        # viol[j, k, l] = |f(x_i, y_j) - f(x_k, y_l)| - bx[i, k] by[j, l]
+        np.subtract(F[i][:, None, None], F, out=viol)
+        np.abs(viol, out=viol)
+        np.multiply(bx[i][:, None], by[:, None, :], out=bound)
+        viol -= bound
         worst = max(worst, float(np.max(viol)))
-    return worst <= tol, worst
+    return worst <= LIPSCHITZ_TOL, worst
 
 
 def _sup_partial_norms(tf: TargetFunction2D) -> tuple[float, float]:

@@ -31,6 +31,7 @@ Number = Union[int, float, Fraction]
 
 __all__ = [
     "PQPair",
+    "FloatRangeError",
     "is_exact",
     "pq_integer",
     "bracket_values",
@@ -81,6 +82,11 @@ class PQPair:
         return PQPair(float(self.p), float(self.q))
 
 
+class FloatRangeError(ArithmeticError):
+    """A (p,q)-quantity needed on the float path is outside the range of
+    doubles for the given pair (it underflows to 0 or overflows)."""
+
+
 def is_exact(pq: PQPair, *values) -> bool:
     """True when the exact-rational path applies: an exact pair and every
     value a Fraction or int."""
@@ -110,13 +116,20 @@ def pq_integer(n: int, pq: PQPair) -> Number:
 
 
 def bracket_values(n: int, pq: PQPair) -> list:
-    """[0], [1], ..., [n] via the stable recurrence [i] = p*[i-1] + q^(i-1)."""
+    """[0], [1], ..., [n] via the stable recurrence [i] = p*[i-1] + q^(i-1).
+
+    Every [i], i >= 1, is positive; a float one that underflows to 0 (and
+    every later one with it) raises FloatRangeError, because callers divide
+    by the brackets or take their logs.
+    """
     p, q = pq.p, pq.q
     out = [_zero(pq)]
     qpow = _one(pq)
     for i in range(1, n + 1):
         out.append(p * out[-1] + qpow)
         qpow *= q
+    if n > 0 and not out[n]:  # a zero bracket makes every later one zero
+        raise FloatRangeError(f"[{out.index(0, 1)}]_{{p,q}} underflows to 0")
     return out
 
 

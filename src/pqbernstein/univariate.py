@@ -32,7 +32,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .pq_core import PQPair, bracket_values, is_exact, pq_binomial
+from .pq_core import FloatRangeError, PQPair, bracket_values, is_exact, pq_binomial
 
 Number = Union[int, float, Fraction]
 
@@ -175,6 +175,8 @@ def _moment_terms(i: int, n: int, pq: PQPair) -> list:
         return []
     if i == 1:
         return [one]
+    if N ** (i - 1) == 0:
+        raise FloatRangeError(f"[{n}]_{{p,q}}^{i - 1} underflows to 0")
     if i == 2:
         return [p ** (n - 1) / N, q * b(n - 1) / N]
     if i == 3:
@@ -203,13 +205,19 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
     """
     if i not in (0, 1, 2, 3, 4):
         raise ValueError(f"moment order must be in 0..4, got {i}")
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
     one = Fraction(1) if is_exact(pq, x) else 1.0
     if not isinstance(one, Fraction):
         pq = pq.floats()
         x = float(x)
     if i == 0:
         return one
-    terms = _moment_terms(i, n, pq)
+    try:
+        terms = _moment_terms(i, n, pq)
+    except OverflowError:
+        # p <= 1: the largest power of p in the e_i coefficients is p^(n+1-i)
+        raise FloatRangeError(f"p^{n + 1 - i} overflows") from None
     acc = one * 0
     xp = one
     for c in terms:
@@ -256,19 +264,23 @@ def central_moment4_display(n: int, x: float, pq: PQPair) -> float:
     br = bracket_values(n, pq)
     N = br[n]
     nq = (1 - q**n) / (1 - q)  # classical q-integer, as displayed
-    a1 = (
-        p ** (n - 3) * N**2 * (-(p**2) + 2 * p * q - q**2)
-        + p ** (n - 5) * N * (-(p**3) + 3 * p * q**2 + q**3)
-        - p ** (3 * n - 6) * (p**2 + p**3 + 2 * p * q**2 + q**3)
-    ) / N**3
-    a2 = (
-        p ** (n - 3) * N**2 * (p**2 - 2 * p * q + q**2)
-        + p ** (2 * n - 5) * N * (-(q**3) - 4 * p * q**2 - 3 * p**2 * q + 2 * p**3)
-        - p ** (3 * n - 6) * (3 * p**3 + 3 * p * q**2 + 5 * p**2 * q + q**3)
-    ) / N**3
-    a3 = (
-        p ** (2 * n - 4) * N * (-(p**2) + 3 * p * q + q**2)
-        - p ** (3 * n - 5) * (3 * p**2 + q**2 + 3 * p * q)
-    ) / nq**3
-    a4 = p ** (3 * n - 3) / nq**3
+    try:
+        a1 = (
+            p ** (n - 3) * N**2 * (-(p**2) + 2 * p * q - q**2)
+            + p ** (n - 5) * N * (-(p**3) + 3 * p * q**2 + q**3)
+            - p ** (3 * n - 6) * (p**2 + p**3 + 2 * p * q**2 + q**3)
+        ) / N**3
+        a2 = (
+            p ** (n - 3) * N**2 * (p**2 - 2 * p * q + q**2)
+            + p ** (2 * n - 5) * N * (-(q**3) - 4 * p * q**2 - 3 * p**2 * q + 2 * p**3)
+            - p ** (3 * n - 6) * (3 * p**3 + 3 * p * q**2 + 5 * p**2 * q + q**3)
+        ) / N**3
+        a3 = (
+            p ** (2 * n - 4) * N * (-(p**2) + 3 * p * q + q**2)
+            - p ** (3 * n - 5) * (3 * p**2 + q**2 + 3 * p * q)
+        ) / nq**3
+        a4 = p ** (3 * n - 3) / nq**3
+    except OverflowError:
+        # p <= 1: the largest power of p in these coefficients is p^(n-5)
+        raise FloatRangeError(f"p^{n - 5} overflows") from None
     return a1 * x**4 + a2 * x**3 + a3 * x**2 + a4 * x

@@ -130,6 +130,19 @@ class TestExitCodes:
                 # one line: no traceback and no numpy warnings
                 assert res.stderr.startswith("error: "), (argv, res.stderr)
                 assert res.stderr.count("\n") == 1, (argv, res.stderr)
+        # valid pairs whose float (p,q)-quantities leave the double range:
+        # the one line names the options and the quantity
+        tiny = ["--p", "1e-300", "--q", "1e-301"]
+        for argv, quantity in (
+            (["pq", "--n", "8", *tiny], "[3]_{p,q} underflows to 0"),
+            (["moments", "--n", "8", *tiny], "[3]_{p,q} underflows to 0"),
+            (["moments", "--n", "2", "--p", "1e-120", "--q", "1e-121"], "[2]_{p,q}^3 underflows to 0"),
+            (["central-moments", "--n", "1", *tiny], "p^-2 overflows"),
+            (["central-moments", "--n", "1", "--p", "1e-80", "--q", "1e-81"], "p^-4 overflows"),
+        ):
+            res = run_cli(argv)
+            assert res.returncode == 2, argv
+            assert res.stderr == f"error: --p/--q: {quantity} on the float path\n", argv
 
     def test_hypothesis_violation_is_2(self):
         res = run_cli(

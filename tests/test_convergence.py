@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import pqbernstein
-from pqbernstein.bivariate import SCHEDULES, BiParams
+from pqbernstein.bivariate import SCHEDULES, BiParams, _eval_grid
 from pqbernstein.convergence import (
+    LIPSCHITZ_SAMPLES,
+    LIPSCHITZ_TOL,
+    MOLLIFY_SCALES,
+    OMEGA_GRID,
     THEOREMS,
     HypothesisError,
     ModulusTable,
@@ -106,6 +110,58 @@ def _clamped_smoothing_matrix(size, kernel):
     return A
 
 
+def _mollify_per_line(F, sigma):
+    """Reference mollifier: one np.convolve per edge-padded line, axis 0
+    then axis 1, through np.apply_along_axis."""
+    radius = int(4.0 * sigma + 0.5)
+    t = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * t**2)
+    kernel /= kernel.sum()
+
+    def smooth(v):
+        return np.convolve(np.pad(v, radius, mode="edge"), kernel, mode="valid")
+
+    for axis in (0, 1):
+        F = np.apply_along_axis(smooth, axis, F)
+    return F
+
+
+def _lipschitz_pairs(f, spec):
+    """Reference Lipschitz check: every pair of the flattened meshgrid, 256
+    rows of pairs at a time, bound M*|s-x|^a1*|t-y|^a2 left to right."""
+    xs = np.linspace(0.0, 1.0, LIPSCHITZ_SAMPLES)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    flatF = _eval_grid(f, xs, xs).ravel()
+    flatX = X.ravel()
+    flatY = Y.ravel()
+    worst = 0.0
+    for start in range(0, flatF.size, 256):
+        end = min(start + 256, flatF.size)
+        dv = np.abs(flatF[start:end, None] - flatF[None, :])
+        dx = np.abs(flatX[start:end, None] - flatX[None, :]) ** spec.alpha1
+        dy = np.abs(flatY[start:end, None] - flatY[None, :]) ** spec.alpha2
+        viol = dv - spec.M * dx * dy
+        worst = max(worst, float(np.max(viol)))
+    return worst <= LIPSCHITZ_TOL, worst
+
+
+def _full_ladder(table):
+    """Reference complete-modulus ladder: the exact radii, then rungs of
+    table._STEP up to the grid diagonal, with no early stop."""
+    F = table.F
+    deltas, values = [0.0], [0.0]
+    for radius in table._EXACT_RADII:
+        D = _dilate(F, radius)
+        deltas.append(radius * table.h)
+        values.append(float(np.max(D - F)))
+    while radius < int(math.ceil(math.sqrt(2.0) * OMEGA_GRID)):
+        D = _dilate(D, table._STEP)
+        radius += table._STEP
+        deltas.append(radius * table.h)
+        values.append(float(np.max(D - F)))
+    return np.array(deltas), np.maximum.accumulate(np.array(values))
+
+
 class TestGridFilters:
     F = np.random.default_rng(20160121).random((23, 31))
 
@@ -129,6 +185,45 @@ class TestGridFilters:
                 @ _clamped_smoothing_matrix(cols, kernel).T
             )
             assert np.max(np.abs(_mollify(self.F, sigma) - dense)) <= 1e-14
+
+    def test_mollifier_equals_per_line_convolution_bit_for_bit(self):
+        cases = [(self.F, 10.0)]  # the kernel (81 taps) is wider than the array
+        for tf in CORPUS.values():
+            table = ModulusTable(tf.fn)
+            cases += [(table.F, scale / table.h) for scale in MOLLIFY_SCALES if scale]
+        for F, sigma in cases:
+            got = _mollify(F, sigma)
+            ref = _mollify_per_line(F, sigma)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), sigma
+
+    def test_lipschitz_check_equals_pairwise_reference_bit_for_bit(self):
+        cases = [
+            (CORPUS["const1"].fn, CORPUS["const1"].lipschitz),
+            (CORPUS["const1"].fn, LipschitzSpec(1.0, 0.5, 0.5)),
+            (CORPUS["lip_half"].fn, CORPUS["lip_half"].lipschitz),
+            # the worst pair has nonzero gaps on both axes, and its bound
+            # rounds differently in the order M*(dx*dy)
+            (from_expression("sin(pi*x)+sin(pi*y)").fn, LipschitzSpec(1.3, 0.3, 0.5)),
+        ]
+        for f, spec in cases:
+            ok, worst = verify_lipschitz(f, spec)
+            ref_ok, ref_worst = _lipschitz_pairs(f, spec)
+            assert (ok, worst.hex()) == (ref_ok, ref_worst.hex()), spec
+
+    def test_modulus_ladder_equals_full_march(self):
+        probe = np.linspace(0.0, 1.5, 15001)
+        for name in ("const1", "ripple", "quad"):
+            table = ModulusTable(CORPUS[name].fn)
+            deltas, values = _full_ladder(table)
+            ref = values[np.searchsorted(deltas, probe + 1e-15, side="right") - 1]
+            assert table.omega(probe).tobytes() == ref.tobytes(), name
+        # a constant saturates at once: no rung past the exact radii
+        const = ModulusTable(CORPUS["const1"].fn)
+        assert len(const._complete[0]) == 1 + len(const._EXACT_RADII)
+        # quad reaches max(F) nowhere short of the diagonal: the full ladder
+        quad = ModulusTable(CORPUS["quad"].fn)
+        assert len(quad._complete[0]) == len(_full_ladder(quad)[0])
 
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(pqbernstein.__file__).resolve().parent.parent)
