@@ -7,7 +7,6 @@ from .pq_core import (
     pq_integer,
     pq_factorial,
     pq_binomial,
-    falling_product,
     pq_binomial_expansion_check,
 )
 from .univariate import (

@@ -63,6 +63,7 @@ from .voronovskaja import (
 )
 
 SCHEMA_VERSION = 1
+EMIT_BLOCK_ROWS = 4096  # rows of a float table formatted per write
 
 
 def _fmt(v) -> str:
@@ -71,7 +72,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, columns: list[str], rows: list[list], command: str) -> None:
+def _emit(args, columns: list[str], rows: list[list] | np.ndarray, command: str) -> None:
+    """Write one table as CSV or JSON to ``--out``.
+
+    ``rows`` is a list of rows, or a 2-D float array for a table that is
+    all floats (``eval``'s grid).
+    """
     if args.out == "-":
         _write(sys.stdout, args, columns, rows, command)
     else:
@@ -85,13 +91,21 @@ def _write(fh, args, columns, rows, command) -> None:
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "columns": columns,
-            "rows": rows,
+            "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
         }
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+        return
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    if isinstance(rows, np.ndarray):
+        # "%.17g" prints every double (nan, inf and -0 too) as _fmt does,
+        # and never a comma, quote or newline, so no cell needs quoting
+        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), EMIT_BLOCK_ROWS):
+            block = rows[start : start + EMIT_BLOCK_ROWS].tolist()
+            fh.write("".join(map(template.__mod__, map(tuple, block))))
     else:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
 
@@ -140,13 +154,11 @@ def cmd_eval(args) -> int:
     xs = np.linspace(0.0, 1.0, args.grid + 1)
     B = bi_apply_grid(tf.fn, params, xs, xs)
     F = _eval_grid(tf.fn, xs, xs)
-    lattice = xs.tolist()
-    rows = [
-        [x, y, fv, bv, abs(bv - fv)]
-        for x, frow, brow in zip(lattice, F.tolist(), B.tolist())
-        for y, fv, bv in zip(lattice, frow, brow)
-    ]
-    _emit(args, ["x", "y", "f", "Bf", "abs_err"], rows, "eval")
+    g = xs.size
+    table = np.column_stack(
+        [np.repeat(xs, g), np.tile(xs, g), F.ravel(), B.ravel(), np.abs(B - F).ravel()]
+    )
+    _emit(args, ["x", "y", "f", "Bf", "abs_err"], table, "eval")
     return 0
 
 

@@ -6,7 +6,7 @@ All operator and moment formulas in this package are built from the
     [n]_{p,q} = p^{n-1} + p^{n-2} q + ... + q^{n-1}   (= (p^n - q^n)/(p - q)),
 
 its factorial, the (p,q)-binomial coefficient, and the falling product
-prod_{s=0}^{c-1} (p^s - q^s x).
+prod_{s=0}^{c-1} (p^s - q^s x), which the bases build as prefix products.
 
 Every exported operation runs in two modes, chosen by the number type of
 the parameter pair:
@@ -38,7 +38,6 @@ __all__ = [
     "pq_factorial",
     "pq_binomial",
     "log_bracket_factorials",
-    "falling_product",
     "pq_binomial_expansion_check",
 ]
 
@@ -174,25 +173,6 @@ def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
         return num / den
     lf = log_bracket_factorials(n, pq)
     return math.exp(lf[n] - lf[k] - lf[n - k])
-
-
-def falling_product(x: Number, count: int, pq: PQPair) -> Number:
-    """prod_{s=0}^{count-1} (p^s - q^s x); the empty product is 1.
-
-    For x in [0,1] every factor is nonnegative because q^s x <= q^s <= p^s.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    exact = is_exact(pq, x)
-    p, q = pq.p, pq.q
-    acc = Fraction(1) if exact else 1.0
-    ppow = Fraction(1) if exact else 1.0
-    qpow = Fraction(1) if exact else 1.0
-    for _ in range(count):
-        acc *= ppow - qpow * x
-        ppow *= p
-        qpow *= q
-    return acc
 
 
 def pq_binomial_expansion_check(

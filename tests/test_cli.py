@@ -1,21 +1,27 @@
 """CLI tests: exit codes, CSV byte-stability, and JSON mirrors."""
 
+import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pqbernstein
 from pqbernstein import cli
+from pqbernstein.bivariate import BiParams, _eval_grid, bi_apply_grid
 from pqbernstein.convergence import THEOREMS
-from pqbernstein.functions import CORPUS
+from pqbernstein.functions import CORPUS, resolve_function
+from pqbernstein.pq_core import PQPair
 
 # the child interpreter imports the same package as this test process
 SRC = str(Path(pqbernstein.__file__).resolve().parent.parent)
@@ -99,6 +105,68 @@ def test_out_file_written(tmp_path):
     assert res.returncode == 0
     inline = run_cli(SUBCOMMANDS["pq"]).stdout
     assert out.read_text() == inline
+
+
+def _reference_csv(columns, rows) -> str:
+    """A table through csv.writer with _fmt on every cell, the route of
+    list tables."""
+    fh = io.StringIO()
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([cli._fmt(v) for v in row])
+    return fh.getvalue()
+
+
+def _main_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+class TestFloatTableBytes:
+    """eval emits its grid from one float array; the bytes must be those
+    of the per-cell route."""
+
+    # x = 0 and y = 0 give exact zeros, f = -x*y prints -0 there, and Bf
+    # misses f by about 1e-17 inside, printed in exponent form
+    ARGV = ["eval", "--f=-x*y", "--n", "9", "--m", "11", "--grid", "7"]
+
+    def test_eval_csv_equals_list_route(self):
+        fn = resolve_function("-x*y").fn
+        params = BiParams(PQPair(0.95, 0.9), PQPair(0.95, 0.9), 9, 11)
+        xs = np.linspace(0.0, 1.0, 8)
+        B = bi_apply_grid(fn, params, xs, xs)
+        F = _eval_grid(fn, xs, xs)
+        rows = [
+            [x, y, fv, bv, abs(bv - fv)]
+            for x, frow, brow in zip(xs.tolist(), F.tolist(), B.tolist())
+            for y, fv, bv in zip(xs.tolist(), frow, brow)
+        ]
+        expected = _reference_csv(["x", "y", "f", "Bf", "abs_err"], rows)
+        assert _main_stdout(self.ARGV) == expected
+        cells = [line.split(",") for line in expected.splitlines()[1:]]
+        assert any("e-17" in c[4] for c in cells)
+        assert any(c[4] == "0" for c in cells)
+        assert any(c[2] == "-0" for c in cells)
+
+    def test_eval_json_rows_equal_csv_cells(self):
+        text = _main_stdout(self.ARGV)
+        cells = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+        doc = json.loads(_main_stdout([*self.ARGV, "--json"]))
+        assert doc["rows"] == cells
+        assert len(cells) == 64
+
+    def test_special_doubles(self):
+        values = [
+            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
+        ]
+        table = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+        fh = io.StringIO()
+        cli._write(fh, argparse.Namespace(json=False), ["a", "b", "c"], table, "t")
+        assert fh.getvalue() == _reference_csv(["a", "b", "c"], table.tolist())
 
 
 class TestExitCodes:

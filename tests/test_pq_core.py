@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from pqbernstein.pq_core import (
     PQPair,
     bracket_values,
-    falling_product,
     pq_binomial,
     pq_binomial_expansion_check,
     pq_factorial,
     pq_integer,
 )
+from pqbernstein.univariate import basis_row_exact
 
 EXACT_PAIRS = [
     PQPair(Fraction(1), Fraction(1, 2)),
@@ -157,14 +157,17 @@ class TestBinomial:
 
 class TestFallingProduct:
     def test_explicit_product(self):
+        # the falling product is R_{n,0}(x) up to the factor p^{-n(n-1)/2};
+        # R_{n,n}(x) = x^n carries the empty product
         pq = PQPair(Fraction(3, 4), Fraction(1, 2))
         x = Fraction(1, 3)
         p, q = pq.p, pq.q
         expected = Fraction(1)
         for s in range(4):
             expected *= p**s - q**s * x
-        assert falling_product(x, 4, pq) == expected
-        assert falling_product(x, 0, pq) == 1
+        row = basis_row_exact(4, x, pq)
+        assert row[0] == p ** -6 * expected
+        assert row[4] == x**4
 
 
 class TestBinomialExpansion:

@@ -57,6 +57,29 @@ class TestBasis:
                 assert sum(row) == 1
                 assert all(w >= 0 for w in row)
 
+    @pytest.mark.parametrize("pq", EXACT_PAIRS)
+    def test_exact_row_equals_literal_formula(self, pq):
+        # R_{n,k}(x) = p^{(k(k-1)-n(n-1))/2} [n]!/([k]![n-k]!) x^k
+        #              prod_{s<n-k} (p^s - q^s x), with [i] = sum_j p^{i-1-j} q^j
+        p, q = pq.p, pq.q
+
+        def bracket(j):
+            return sum(p ** (j - 1 - t) * q**t for t in range(j))
+
+        def factorial(i):
+            return math.prod((bracket(j) for j in range(1, i + 1)), start=Fraction(1))
+
+        for n in (1, 2, 5, 12):
+            for x in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                expected = [
+                    p ** ((k * (k - 1) - n * (n - 1)) // 2)
+                    * factorial(n) / (factorial(k) * factorial(n - k))
+                    * x**k
+                    * math.prod((p**s - q**s * x for s in range(n - k)), start=Fraction(1))
+                    for k in range(n + 1)
+                ]
+                assert basis_row_exact(n, x, pq) == expected
+
     def test_float_matches_exact(self):
         pq_e = PQPair(Fraction(9, 10), Fraction(3, 5))
         pq_f = PQPair(0.9, 0.6)
