@@ -524,8 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except FloatRangeError as exc:
-        # raised for the raw pairs of pq, moments and central-moments; the
-        # other subcommands use schedules or the r-reduced basis
+        # raised only where a printed raw-pair value leaves the double range:
+        # pq's pq_factorial column and central-moments' display_A_form column
         print(f"error: --p/--q: {exc} on the float path", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:  # parse, hypothesis and domain errors too

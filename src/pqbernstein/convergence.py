@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bivariate import BiParams, ParamSchedule, bi_apply_grid, _check_grid, _eval_grid
+from .bivariate import BiParams, ParamSchedule, _eval_grid, abs_error_grid
 from .functions import LipschitzSpec, TargetFunction2D, fd_partial
 from .univariate import uni_central_moment
 
@@ -393,9 +393,8 @@ class _Gap(NamedTuple):
 
 
 def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
-    _check_grid(grid)
+    err = abs_error_grid(tf, params, grid)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    err = np.abs(bi_apply_grid(tf, params, xs, xs) - _eval_grid(tf, xs, xs))
     dn2 = _delta2_axis(params.pq1, params.n, xs)
     dm2 = _delta2_axis(params.pq2, params.m, xs)
     return _Gap(params, grid, err, dn2, dm2)

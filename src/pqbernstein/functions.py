@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .expressions import parse_expr
+
 __all__ = [
     "LipschitzSpec",
     "TargetFunction2D",
@@ -66,12 +68,8 @@ class TargetFunction2D:
         return self.fxx is not None and self.fyy is not None
 
 
-def _ones_like(x, y):
-    return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
-
-def _zeros(x, y):
-    return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+def _zero(x, y):
+    return 0.0
 
 
 _PI = np.pi
@@ -81,11 +79,11 @@ CORPUS: dict[str, TargetFunction2D] = {
     for tf in [
         TargetFunction2D(
             name="const1",
-            fn=lambda x, y: _ones_like(x, y),
-            fx=_zeros,
-            fy=_zeros,
-            fxx=_zeros,
-            fyy=_zeros,
+            fn=lambda x, y: 1.0,
+            fx=_zero,
+            fy=_zero,
+            fxx=_zero,
+            fyy=_zero,
             lipschitz=LipschitzSpec(1.0, 1.0, 1.0),
             c1=True,
             c2=True,
@@ -93,22 +91,22 @@ CORPUS: dict[str, TargetFunction2D] = {
         ),
         TargetFunction2D(
             name="linx",
-            fn=lambda x, y: x * _ones_like(x, y),
-            fx=lambda x, y: _ones_like(x, y),
-            fy=_zeros,
-            fxx=_zeros,
-            fyy=_zeros,
+            fn=lambda x, y: x,
+            fx=lambda x, y: 1.0,
+            fy=_zero,
+            fxx=_zero,
+            fyy=_zero,
             c1=True,
             c2=True,
             description="x",
         ),
         TargetFunction2D(
             name="liny",
-            fn=lambda x, y: y * _ones_like(x, y),
-            fx=_zeros,
-            fy=lambda x, y: _ones_like(x, y),
-            fxx=_zeros,
-            fyy=_zeros,
+            fn=lambda x, y: y,
+            fx=_zero,
+            fy=lambda x, y: 1.0,
+            fxx=_zero,
+            fyy=_zero,
             c1=True,
             c2=True,
             description="y",
@@ -116,10 +114,10 @@ CORPUS: dict[str, TargetFunction2D] = {
         TargetFunction2D(
             name="prodxy",
             fn=lambda x, y: x * y,
-            fx=lambda x, y: y * _ones_like(x, y),
-            fy=lambda x, y: x * _ones_like(x, y),
-            fxx=_zeros,
-            fyy=_zeros,
+            fx=lambda x, y: y,
+            fy=lambda x, y: x,
+            fxx=_zero,
+            fyy=_zero,
             c1=True,
             c2=True,
             description="x*y",
@@ -127,10 +125,10 @@ CORPUS: dict[str, TargetFunction2D] = {
         TargetFunction2D(
             name="quad",
             fn=lambda x, y: x * x + y * y,
-            fx=lambda x, y: 2 * x * _ones_like(x, y),
-            fy=lambda x, y: 2 * y * _ones_like(x, y),
-            fxx=lambda x, y: 2 * _ones_like(x, y),
-            fyy=lambda x, y: 2 * _ones_like(x, y),
+            fx=lambda x, y: 2 * x,
+            fy=lambda x, y: 2 * y,
+            fxx=lambda x, y: 2.0,
+            fyy=lambda x, y: 2.0,
             c1=True,
             c2=True,
             description="x^2 + y^2",
@@ -200,8 +198,6 @@ def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
     the unit square), so expression functions are usable in the C^1 and
     Voronovskaja machinery with widened tolerances only.
     """
-    from .expressions import parse_expr
-
     ast = parse_expr(text)
 
     def fn(x, y):

@@ -13,8 +13,10 @@ the parameter pair:
 
 * exact mode -- ``fractions.Fraction`` inputs, closed under +,-,*,/ with
   no rounding.  Used as the oracle in all identity tests.
-* float mode -- doubles.  Binomial coefficients go through the log domain
-  so they stay usable for degrees of several hundred.
+* float mode -- doubles.  Ratios homogeneous in (p,q) are evaluated at
+  the reduced pair (1, q/p), where no power of p leaves the double range.
+  Binomial coefficients go through the log domain of the reduced
+  brackets so they stay usable for degrees of several hundred.
 
 The summation form of ``[n]`` is used everywhere instead of the quotient
 (p^n - q^n)/(p - q): the quotient cancels catastrophically as q -> p.
@@ -37,7 +39,7 @@ __all__ = [
     "bracket_values",
     "pq_factorial",
     "pq_binomial",
-    "log_bracket_factorials",
+    "log_factorials",
     "pq_binomial_expansion_check",
 ]
 
@@ -68,10 +70,15 @@ class PQPair:
 
     @property
     def ratio(self) -> Number:
-        """q/p, the single parameter the float basis path reduces to."""
+        """q/p, the single parameter the float path reduces to."""
         if self.is_exact:
             return Fraction(self.q) / Fraction(self.p)
         return self.q / self.p
+
+    def reduced(self) -> "PQPair":
+        """The float pair (1, q/p): a node, basis weight or moment, being
+        homogeneous of degree 0 in (p,q), takes the same value there."""
+        return PQPair(1.0, float(self.ratio))
 
     def exact(self) -> "PQPair":
         """Exact-rational copy (requires exactly representable fields)."""
@@ -115,20 +122,15 @@ def pq_integer(n: int, pq: PQPair) -> Number:
 
 
 def bracket_values(n: int, pq: PQPair) -> list:
-    """[0], [1], ..., [n] via the stable recurrence [i] = p*[i-1] + q^(i-1).
-
-    Every [i], i >= 1, is positive; a float one that underflows to 0 (and
-    every later one with it) raises FloatRangeError, because callers divide
-    by the brackets or take their logs.
-    """
+    """[0], [1], ..., [n] via the stable recurrence [i] = q*[i-1] + p^(i-1),
+    which at the reduced pair is [i]_r = r*[i-1]_r + 1.  A float [i] on a
+    raw pair may underflow to 0, and every later one with it."""
     p, q = pq.p, pq.q
     out = [_zero(pq)]
-    qpow = _one(pq)
-    for i in range(1, n + 1):
-        out.append(p * out[-1] + qpow)
-        qpow *= q
-    if n > 0 and not out[n]:  # a zero bracket makes every later one zero
-        raise FloatRangeError(f"[{out.index(0, 1)}]_{{p,q}} underflows to 0")
+    ppow = _one(pq)
+    for _ in range(n):
+        out.append(q * out[-1] + ppow)
+        ppow *= p
     return out
 
 
@@ -136,15 +138,19 @@ def pq_factorial(n: int, pq: PQPair) -> Number:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
     if n < 0:
         raise ValueError(f"factorial undefined for n={n}")
+    br = bracket_values(n, pq)
+    if n > 0 and not br[n]:  # a zero bracket makes every later one zero
+        raise FloatRangeError(f"[{br.index(0, 1)}]_{{p,q}} underflows to 0")
     acc = _one(pq)
-    for v in bracket_values(n, pq)[1:]:
+    for v in br[1:]:
         acc *= v
     return acc
 
 
-def log_bracket_factorials(n: int, pq: PQPair) -> list[float]:
-    """Cumulative log-factorials: entry i is log([i]!). Float path only."""
-    br = bracket_values(n, pq.floats())
+def log_factorials(n: int, pq: PQPair) -> list[float]:
+    """Cumulative log-factorials of the reduced brackets [i]_r >= 1:
+    entry i is log([i]_r!), r = q/p.  Float path only."""
+    br = bracket_values(n, pq.reduced())
     out = [0.0]
     for i in range(1, n + 1):
         out.append(out[-1] + math.log(br[i]))
@@ -154,9 +160,9 @@ def log_bracket_factorials(n: int, pq: PQPair) -> list[float]:
 def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
     """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!).
 
-    Exact mode multiplies bracket ratios directly; float mode works in the
-    log domain (all factors positive), which keeps the computation stable
-    for n up to several hundred.
+    Exact mode multiplies bracket ratios directly.  Float mode uses
+    [n over k]_{p,q} = p^(k(n-k)) [n over k]_r in the log domain, which
+    keeps the computation stable for n up to several hundred.
     """
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
@@ -171,8 +177,8 @@ def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
             num *= br[n - kk + i]
             den *= br[i]
         return num / den
-    lf = log_bracket_factorials(n, pq)
-    return math.exp(lf[n] - lf[k] - lf[n - k])
+    lf = log_factorials(n, pq)
+    return math.exp(k * (n - k) * math.log(pq.p) + lf[n] - lf[k] - lf[n - k])
 
 
 def pq_binomial_expansion_check(

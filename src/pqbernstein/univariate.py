@@ -21,7 +21,8 @@ other.
 Closed-form moments are the ones an exact-rational oracle confirms by
 strict equality against the operator applied to monomials; a commonly
 seen display form of two coefficients differs and is kept only as a
-diagnostic (see the tests).
+diagnostic (see the tests).  Being homogeneous in (p,q), the closed forms
+too are evaluated at the reduced pair (1, q/p) in float.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .pq_core import FloatRangeError, PQPair, bracket_values, is_exact
+from .pq_core import FloatRangeError, PQPair, bracket_values, is_exact, log_factorials, pq_integer
 
 Number = Union[int, float, Fraction]
 
@@ -46,14 +47,6 @@ __all__ = [
     "uni_central_moment",
     "central_moment4_display",
 ]
-
-
-def _brackets(n: int, r: float) -> list[float]:
-    """[0]_r, [1]_r, ..., [n]_r in float by [i]_r = 1 + r [i-1]_r."""
-    br = [0.0]
-    for _ in range(n):
-        br.append(br[-1] * r + 1.0)
-    return br
 
 
 def node(n: int, k: int, pq: PQPair) -> Number:
@@ -72,7 +65,7 @@ def nodes(n: int, pq: PQPair) -> list[Fraction] | np.ndarray:
     if pq.is_exact:
         br = bracket_values(n, pq)
         return [br[k] * pq.p ** (n - k) / br[n] for k in range(n + 1)]
-    br = np.array(_brackets(n, pq.ratio))
+    br = np.array(bracket_values(n, pq.reduced()))
     return br / br[n]
 
 
@@ -97,8 +90,7 @@ def basis_row(n: int, x, pq: PQPair) -> np.ndarray:
     if inner.size:
         r = float(pq.ratio)
         xi = xs[inner]
-        # log Gaussian-binomial via cumulative log [i]_r
-        logfact = np.cumsum([0.0] + [math.log(b) for b in _brackets(n, r)[1:]])
+        logfact = np.array(log_factorials(n, pq))
         # cumulative log of the falling factors 1 - r^s x, s = 0..n-1
         logfall = np.zeros((inner.size, n + 1))
         np.cumsum(np.log1p(-(r ** np.arange(n)) * xi[:, None]), axis=1, out=logfall[:, 1:])
@@ -183,8 +175,6 @@ def _moment_terms(i: int, n: int, pq: PQPair) -> list:
         return []
     if i == 1:
         return [one]
-    if N ** (i - 1) == 0:
-        raise FloatRangeError(f"[{n}]_{{p,q}}^{i - 1} underflows to 0")
     if i == 2:
         return [p ** (n - 1) / N, q * b(n - 1) / N]
     if i == 3:
@@ -207,9 +197,9 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
     """Closed-form moment B(e_i; x) for i in 0..4.
 
     e_0 -> 1 and e_1 -> x (the operator is exact on constants and linear
-    functions); higher moments use the closed-form coefficients.  Bracket
-    factors [n-j] with n <= j evaluate to 0, which keeps the formulas
-    total for small n.
+    functions); higher moments use the closed-form coefficients, in float
+    mode at the reduced pair (1, q/p).  Bracket factors [n-j] with n <= j
+    evaluate to 0, which keeps the formulas total for small n.
     """
     if i not in (0, 1, 2, 3, 4):
         raise ValueError(f"moment order must be in 0..4, got {i}")
@@ -217,15 +207,11 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
         raise ValueError(f"degree must be >= 1, got {n}")
     one = Fraction(1) if is_exact(pq, x) else 1.0
     if not isinstance(one, Fraction):
-        pq = pq.floats()
+        pq = pq.reduced()
         x = float(x)
     if i == 0:
         return one
-    try:
-        terms = _moment_terms(i, n, pq)
-    except OverflowError:
-        # p <= 1: the largest power of p in the e_i coefficients is p^(n+1-i)
-        raise FloatRangeError(f"p^{n + 1 - i} overflows") from None
+    terms = _moment_terms(i, n, pq)
     acc = one * 0
     xp = one
     for c in terms:
@@ -238,7 +224,8 @@ def uni_central_moment(r: int, n: int, x: Number, pq: PQPair) -> Number:
     """Central moment B((t-x)^r; x) for r in {2, 4}.
 
     r=2 has the closed form p^{n-1}/[n] (x - x^2), the squared delta of
-    the convergence bounds; its float path also takes an array x.  r=4 is
+    the convergence bounds, which is 1/[n]_r (x - x^2) at the reduced
+    pair of the float path; that path also takes an array x.  r=4 is
     assembled from the raw moments by the binomial expansion
     sum_j C(4,j) (-x)^{4-j} B(e_j; x).  A circulating direct expansion with
     A-coefficients mixes parameters inconsistently and is exposed
@@ -250,7 +237,7 @@ def uni_central_moment(r: int, n: int, x: Number, pq: PQPair) -> Number:
         raise ValueError(f"degree must be >= 1, got {n}")
     exact = is_exact(pq, x)
     if not exact:
-        pq = pq.floats()
+        pq = pq.reduced()
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     if r == 2:
         return pq.p ** (n - 1) / bracket_values(n, pq)[n] * (x - x * x)
@@ -265,13 +252,17 @@ def central_moment4_display(n: int, x: float, pq: PQPair) -> float:
     coefficients A_{1..4,n}, including their q-only brackets.
 
     Known to disagree with the oracle-checked assembly; kept so reports
-    can show the discrepancy.  Float only.
+    can show the discrepancy.  Float only, and on the raw pair, because
+    the display mixes [n]_{p,q} with q-only brackets: a pair whose
+    [n]_{p,q}^3 underflows or whose p-powers overflow raises
+    FloatRangeError.
     """
     pq = pq.floats()
     p, q = pq.p, pq.q
-    br = bracket_values(n, pq)
-    N = br[n]
+    N = pq_integer(n, pq)
     nq = (1 - q**n) / (1 - q)  # classical q-integer, as displayed
+    if not N**3:
+        raise FloatRangeError(f"display_A_form: [{n}]_{{p,q}}^3 underflows to 0")
     try:
         a1 = (
             p ** (n - 3) * N**2 * (-(p**2) + 2 * p * q - q**2)
@@ -290,5 +281,5 @@ def central_moment4_display(n: int, x: float, pq: PQPair) -> float:
         a4 = p ** (3 * n - 3) / nq**3
     except OverflowError:
         # p <= 1: the largest power of p in these coefficients is p^(n-5)
-        raise FloatRangeError(f"p^{n - 5} overflows") from None
+        raise FloatRangeError(f"display_A_form: p^{n - 5} overflows") from None
     return a1 * x**4 + a2 * x**3 + a3 * x**2 + a4 * x

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bivariate import BiParams, ParamSchedule, bi_apply
 from .functions import TargetFunction2D
-from .pq_core import PQPair, bracket_values
+from .pq_core import PQPair, pq_integer
 from .univariate import basis_row, nodes
 
 __all__ = [
@@ -92,7 +92,7 @@ def scaled_central_moment_limit_check(
     values = []
     for n in degrees:
         pq = schedule.pair(n)
-        N = bracket_values(n, pq.floats())[n]
+        N = pq_integer(n, pq)
         scale = N if order == 2 else N * N
         values.append(scale * central_moment_brute(order, n, x, pq))
     return AsymptoticTrace(
@@ -131,7 +131,7 @@ def voronovskaja_trace(
     values = []
     for n in degrees:
         pq = schedule.pair(n)
-        N = bracket_values(n, pq.floats())[n]
+        N = pq_integer(n, pq)
         params = BiParams(pq, pq, n, n)
         values.append(N * (bi_apply(tf.fn, params, x, y) - f_at))
     return AsymptoticTrace(

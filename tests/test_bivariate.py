@@ -16,13 +16,13 @@ from pqbernstein.bivariate import (
     ParamSchedule,
     _eval_grid,
     _exact_row_sums,
+    abs_error_grid,
     bi_apply,
     bi_apply_exact,
     bi_apply_grid,
     bi_central_moment2,
     bi_moment_closed,
     korovkin_experiment,
-    sup_error_grid,
 )
 from pqbernstein.functions import CORPUS, from_expression
 from pqbernstein.pq_core import PQPair
@@ -182,10 +182,14 @@ class TestKorovkin:
         for key in ("e20", "e02"):
             assert rows[1].test_errors[key] < rows[0].test_errors[key]
 
-    def test_sup_error_grid_zero_for_linears(self):
+    def test_abs_error_grid_zero_for_linears(self):
         params = _params(6, 6)
-        assert sup_error_grid(CORPUS["linx"].fn, params, grid=20) <= 1e-13
-        assert sup_error_grid(CORPUS["const1"].fn, params, grid=20) <= 1e-13
+        for name in ("linx", "const1"):
+            err = abs_error_grid(CORPUS[name].fn, params, grid=20)
+            assert err.shape == (21, 21)
+            assert np.max(err) <= 1e-13
+        with pytest.raises(ValueError, match="11 points"):
+            abs_error_grid(CORPUS["linx"].fn, params, grid=9)
 
 
 # |entry| <= 2**990 and at most 64 entries a row keep every partial sum

@@ -198,19 +198,48 @@ class TestExitCodes:
                 # one line: no traceback and no numpy warnings
                 assert res.stderr.startswith("error: "), (argv, res.stderr)
                 assert res.stderr.count("\n") == 1, (argv, res.stderr)
-        # valid pairs whose float (p,q)-quantities leave the double range:
-        # the one line names the options and the quantity
+        # valid pairs whose printed raw-pair values leave the double range:
+        # the one line names the options, the column and the quantity
         tiny = ["--p", "1e-300", "--q", "1e-301"]
         for argv, quantity in (
             (["pq", "--n", "8", *tiny], "[3]_{p,q} underflows to 0"),
-            (["moments", "--n", "8", *tiny], "[3]_{p,q} underflows to 0"),
-            (["moments", "--n", "2", "--p", "1e-120", "--q", "1e-121"], "[2]_{p,q}^3 underflows to 0"),
-            (["central-moments", "--n", "1", *tiny], "p^-2 overflows"),
-            (["central-moments", "--n", "1", "--p", "1e-80", "--q", "1e-81"], "p^-4 overflows"),
+            (["central-moments", "--n", "1", *tiny], "display_A_form: p^-4 overflows"),
+            (
+                ["central-moments", "--n", "1", "--p", "1e-80", "--q", "1e-81"],
+                "display_A_form: p^-4 overflows",
+            ),
+            (
+                ["central-moments", "--n", "6", "--p", "1e-80", "--q", "1e-81"],
+                "display_A_form: [6]_{p,q}^3 underflows to 0",
+            ),
+            (
+                ["central-moments", "--n", "512", "--p", "0.5", "--q", "0.4"],
+                "display_A_form: [512]_{p,q}^3 underflows to 0",
+            ),
         ):
             res = run_cli(argv)
             assert res.returncode == 2, argv
             assert res.stderr == f"error: --p/--q: {quantity} on the float path\n", argv
+
+    def test_moments_of_extreme_pairs_compute(self):
+        # the moments are ratios homogeneous in (p,q), evaluated at (1, q/p),
+        # so pairs whose [n]_{p,q}^3 underflows still give every row.  At
+        # n = 512 the oracle column, the float basis summed by fsum, is off
+        # by up to 1.4e-12 at x = 0.95: its e_0 row, whose closed value is
+        # exactly 1, shows the basis's partition-of-unity residual 1.23e-12.
+        for argv, bound in (
+            (["moments", "--n", "512", "--p", "0.5", "--q", "0.4"], 2e-12),
+            (["moments", "--n", "8", "--p", "1e-300", "--q", "1e-301"], 1e-12),
+            (["moments", "--n", "2", "--p", "1e-120", "--q", "1e-121"], 1e-12),
+        ):
+            rows = list(csv.reader(io.StringIO(_main_stdout(argv))))[1:]
+            assert len(rows) == 5 * 21, argv
+            for i, x, closed, oracle, abs_diff, rel_diff in rows:
+                # a moment lies in [0, 1]; its coefficient sum may round up
+                assert 0.0 <= float(closed) <= 1.0 + 1e-15, (argv, i, x, closed)
+                assert float(rel_diff) <= bound, (argv, i, x, rel_diff)
+                if i == "0":
+                    assert closed == "1", (argv, x, closed)
 
     def test_hypothesis_violation_is_2(self):
         res = run_cli(
@@ -248,7 +277,8 @@ def _pair(pflag, qflag):
     )
     bad = st.one_of(
         st.tuples(st.sampled_from(_BAD + ["0.5", "1.5"]), st.sampled_from(_BAD + ["0.9"])),
-        st.just(("1e-300", "1e-301")),  # valid, but p^n underflows on the float path
+        # valid pairs whose raw-pair values can leave the double range
+        st.sampled_from([("1e-300", "1e-301"), ("1e-80", "1e-81")]),
     )
     return st.one_of(valid, valid, valid, bad).map(lambda pq: [pflag, pq[0], qflag, pq[1]])
 
@@ -311,11 +341,25 @@ def _argv(draw, command):
     return argv
 
 
+def _valid_raw_pair(argv) -> bool:
+    """True when argv sets --n >= 1 and a pair 0 < q < p <= 1 by --p/--q
+    (argparse keeps an option's last value)."""
+    opts = {flag: value for flag, value in zip(argv, argv[1:]) if flag in ("--n", "--p", "--q")}
+    try:
+        n, p, q = int(opts["--n"]), float(opts["--p"]), float(opts["--q"])
+    except (KeyError, ValueError):
+        return False
+    return n >= 1 and 0 < q < p <= 1
+
+
 @pytest.mark.parametrize("command", sorted(_OPTIONS))
 def test_main_exits_0_1_or_2_on_random_argv(command):
     """Nothing escapes main: the exit code is 0, 1 or 2, and a 2 that is
-    not argparse's comes with exactly one stderr line 'error: ...'.  About
-    100 argv in all: 13 per subcommand, 3 for the slow selftest."""
+    not argparse's comes with exactly one stderr line 'error: ...'.  A
+    valid --n and --p/--q pair exits 2 only for a raw-pair value out of
+    the double range, with the line naming --p/--q, and never in
+    ``moments``.  About 100 argv in all: 13 per subcommand, 3 for the
+    slow selftest."""
 
     @given(argv=_argv(command))
     @settings(
@@ -333,5 +377,9 @@ def test_main_exits_0_1_or_2_on_random_argv(command):
         if code == 2 and not from_argparse:
             text = err.getvalue()
             assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
+            if command in ("pq", "moments", "central-moments") and _valid_raw_pair(argv):
+                assert command != "moments", (argv, text)
+                assert text.startswith("error: --p/--q: "), (argv, text)
+                assert text.endswith(" on the float path\n"), (argv, text)
 
     check()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqbernstein.pq_core import (
+    FloatRangeError,
     PQPair,
     bracket_values,
     pq_binomial,
@@ -118,6 +119,24 @@ class TestBracketTables:
             acc *= pq_integer(n, pq)
             assert pq_factorial(n, pq) == acc
 
+    def test_reduced_pair_gives_the_r_recurrence_bit_for_bit(self):
+        # at (1, r) the recurrence is [i]_r = r [i-1]_r + 1, the form the
+        # float basis and nodes were pinned with
+        for p, q in ((0.9, 0.6), (0.5, 0.4), (1e-300, 1e-301), (0.9615, 0.905), (1.0, 0.999)):
+            pq = PQPair(p, q).reduced()
+            assert pq == PQPair(1.0, q / p)
+            ref = [0.0]
+            for _ in range(2048):
+                ref.append(ref[-1] * pq.q + 1.0)
+            assert bracket_values(2048, pq) == ref
+
+    def test_float_factorial_names_the_first_zero_bracket(self):
+        # [3] = p^2 + pq + q^2 underflows for p = 1e-300
+        pq = PQPair(1e-300, 1e-301)
+        assert pq_factorial(2, pq) == 1e-300 + 1e-301
+        with pytest.raises(FloatRangeError, match=r"^\[3\]_\{p,q\} underflows to 0$"):
+            pq_factorial(8, pq)
+
 
 class TestBinomial:
     def test_boundary_cases(self):
@@ -153,6 +172,18 @@ class TestBinomial:
                 exact = float(pq_binomial(n, k, pq_exact))
                 approx = pq_binomial(n, k, pq_float)
                 assert math.isclose(approx, exact, rel_tol=1e-11)
+
+    def test_float_binomial_and_factorial_accuracy_at_p_below_one(self):
+        # the binomial is p^(k(n-k)) [n over k]_r; both it and the factorial
+        # stay within 1e-12 of the exact value where p^(k(n-k)) is far from 1
+        pq_exact = PQPair(Fraction(3, 4), Fraction(1, 2))
+        pq_float = PQPair(0.75, 0.5)
+        for n in (7, 30, 56):
+            for k in range(n + 1):
+                exact = float(pq_binomial(n, k, pq_exact))
+                assert math.isclose(pq_binomial(n, k, pq_float), exact, rel_tol=1e-12)
+            exact = float(pq_factorial(n, pq_exact))
+            assert math.isclose(pq_factorial(n, pq_float), exact, rel_tol=1e-12)
 
 
 class TestFallingProduct:

@@ -234,6 +234,20 @@ class TestMoments:
                     assert math.isclose(approx, exact, rel_tol=1e-11, abs_tol=1e-15)
 
 
+class TestReducedPair:
+    @pytest.mark.parametrize("pq", EXACT_PAIRS)
+    def test_closed_forms_depend_only_on_ratio(self, pq):
+        # the float path evaluates the closed forms at pq.reduced() =
+        # (1, q/p); exactly, they are invariant under (p,q) -> (1, q/p)
+        unit = PQPair(Fraction(1), pq.ratio)
+        assert pq.reduced() == PQPair(1.0, float(unit.q))
+        for n in range(1, 13):
+            for x in X_POINTS:
+                for i in range(5):
+                    assert uni_moment_closed(i, n, x, pq) == uni_moment_closed(i, n, x, unit)
+                assert uni_central_moment(2, n, x, pq) == uni_central_moment(2, n, x, unit)
+
+
 class TestCentralMoments:
     @pytest.mark.parametrize("pq", EXACT_PAIRS)
     def test_second_central_moment_closed_form(self, pq):
