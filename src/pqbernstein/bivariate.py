@@ -115,21 +115,25 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     Inner index j, outer k.  Each inner sum sum_j wy[j] f(s_k, t_j) and
     the outer sum sum_k wx[k] inner_k is correctly rounded from its
     rounded products, so the result depends neither on summation order
-    nor on BLAS.  Terms with a zero weight add nothing to an exact sum and
-    are skipped; rows are summed in blocks of _BLOCK_ROWS, which bounds
-    the memory of the sums.
+    nor on BLAS.  f is evaluated, and checked finite, at every node, in
+    slabs of _SLAB_ROWS node rows taken in row order, so memory stays
+    bounded whatever the degrees.  Terms with a zero weight add nothing
+    to an exact sum and are skipped; of each slab the rows with a nonzero
+    weight are summed in blocks of _BLOCK_ROWS over the nonzero columns.
     """
     wx = basis_row(params.n, float(x), params.pq1)
     wy = basis_row(params.m, float(y), params.pq2)
     sx = nodes(params.n, params.pq1.floats())
     ty = nodes(params.m, params.pq2.floats())
-    F = _eval_grid(f, sx, ty)
-    rows, cols = np.flatnonzero(wx), np.flatnonzero(wy)
-    inner = np.empty(rows.size)
-    for b in range(0, rows.size, _BLOCK_ROWS):
-        block = rows[b : b + _BLOCK_ROWS]
-        inner[b : b + _BLOCK_ROWS] = _exact_row_sums(F[np.ix_(block, cols)] * wy[cols])
-    return float(_exact_row_sums((wx[rows] * inner)[None, :])[0])
+    cols = np.flatnonzero(wy)
+    wy = wy[cols]
+    inner = []
+    for start in range(0, sx.size, _SLAB_ROWS):
+        F = _eval_grid(f, sx[start : start + _SLAB_ROWS], ty)
+        rows = np.flatnonzero(wx[start : start + _SLAB_ROWS])
+        for b in range(0, rows.size, _BLOCK_ROWS):
+            inner.append(_exact_row_sums(F[np.ix_(rows[b : b + _BLOCK_ROWS], cols)] * wy))
+    return float(_exact_row_sums((wx[wx != 0] * np.concatenate(inner))[None, :])[0])
 
 
 # Exact row sums.  A finite x = mant * 2**e (np.frexp) is the integer
@@ -141,6 +145,11 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
 _LSB_SHIFT = 1126
 _DIGITS = 68
 _BLOCK_ROWS = 32
+_SLAB_ROWS = 128
+# bins[j] = 2**32 * hi[j] + lo[j] with 0 <= lo[j] < 2**32 and
+# -2**31 <= hi[j] < 2**31; hi[j] is stored as hi[j] + 2**31, and this
+# constant takes the 2**31 offsets out again
+_BIAS = sum(1 << (32 * j + 31) for j in range(1, _DIGITS + 1))
 
 
 def _exact_row_sums(A: np.ndarray) -> np.ndarray:
@@ -149,9 +158,10 @@ def _exact_row_sums(A: np.ndarray) -> np.ndarray:
 
     Each entry is cut into three signed 32-bit digits at its place in T;
     np.bincount adds the digits of each row into float64 bins, exactly
-    while a row has fewer than 2**21 entries.  Carries then normalise the
-    bins in int64, and one Python int per row, divided by 2**1126, rounds
-    once (int true division is correctly rounded).
+    while a row has fewer than 2**21 entries.  Each row's int64 bins then
+    become one Python int, their low and high 32-bit halves read as two
+    little-endian unsigned integers, and that int, divided by 2**1126,
+    rounds once (int true division is correctly rounded).
     """
     rows = A.shape[0]
     mant, e = np.frexp(A)
@@ -159,23 +169,30 @@ def _exact_row_sums(A: np.ndarray) -> np.ndarray:
     # in units of 2**(32 * (e >> 5) + 64 - 1126) an entry lies in
     # (-2**20, 2**20); its integer part is the top digit, and its fraction,
     # scaled by 2**32 twice, gives the other two (all exact, signs kept)
-    frac, hi = np.modf(np.ldexp(mant, (e & 31) - 11))
-    frac, mid = np.modf(frac * 2.0**32)
-    lo = frac * 2.0**32
+    v = np.ldexp(mant, (e & 31) - 11)
+    hi = np.trunc(v)
+    v -= hi
+    v *= 2.0**32
+    mid = np.trunc(v)
+    v -= mid
+    v *= 2.0**32
     at = ((e >> 5) + np.arange(0, rows * _DIGITS, _DIGITS)[:, None]).ravel()
     size = rows * _DIGITS
-    bins = np.bincount(at, lo.ravel(), size)
+    bins = np.bincount(at, v.ravel(), size)
     bins[1:] += np.bincount(at, mid.ravel(), size)[:-1]
     bins[2:] += np.bincount(at, hi.ravel(), size)[:-2]
-    T = bins.astype(np.int64).reshape(rows, _DIGITS)
-    for j in range(_DIGITS - 1):
-        T[:, j + 1] += T[:, j] >> 32
-    low = (T[:, :-1] & 0xFFFFFFFF).astype("<u4")
-    top = 32 * (_DIGITS - 1)
+    T = bins.astype(np.int64)
+    low = (T & 0xFFFFFFFF).astype("<u4").tobytes()
+    high = ((T >> 32) + 2**31).astype("<u4").tobytes()
+    width = 4 * _DIGITS
     scale = 1 << _LSB_SHIFT
     return np.array([
-        (int.from_bytes(digits.tobytes(), "little") + (t << top)) / scale
-        for digits, t in zip(low, T[:, -1].tolist())
+        (
+            int.from_bytes(low[i : i + width], "little")
+            + (int.from_bytes(high[i : i + width], "little") << 32)
+            - _BIAS
+        ) / scale
+        for i in range(0, rows * width, width)
     ])
 
 

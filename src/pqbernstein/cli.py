@@ -43,9 +43,9 @@ from .pq_core import (
     FloatRangeError,
     PQPair,
     bracket_values,
-    pq_binomial,
     pq_binomial_expansion_check,
-    pq_factorial,
+    pq_binomials,
+    pq_factorials,
     pq_integer,
 )
 from .univariate import (
@@ -87,13 +87,11 @@ def _emit(args, columns: list[str], rows: list[list] | np.ndarray, command: str)
 
 def _write(fh, args, columns, rows, command) -> None:
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "columns": columns,
-            "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
-        }
-        json.dump(doc, fh, indent=2)
+        doc = {"schema_version": SCHEMA_VERSION, "command": command, "columns": columns}
+        if isinstance(rows, np.ndarray):
+            _write_json_table(fh, doc, rows)
+        else:
+            json.dump({**doc, "rows": rows}, fh, indent=2)
         fh.write("\n")
         return
     w = csv.writer(fh, lineterminator="\n")
@@ -108,6 +106,28 @@ def _write(fh, args, columns, rows, command) -> None:
     else:
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_json_table(fh, doc: dict, rows: np.ndarray) -> None:
+    """``json.dump({**doc, "rows": rows.tolist()}, fh, indent=2)``, byte
+    for byte, with the rows formatted in blocks of EMIT_BLOCK_ROWS.
+
+    A cell is ``float.__repr__`` ("%r"), as json writes it; json spells
+    the non-finite doubles NaN, Infinity and -Infinity.
+    """
+    fh.write(json.dumps(doc, indent=2)[:-2] + ',\n  "rows": [')  # [:-2] drops "\n}"
+    if not len(rows):
+        fh.write("]\n}")
+        return
+    cells = ",\n      ".join(["%r"] * rows.shape[1])
+    template = "\n    [\n      " + cells + "\n    ]" if cells else "\n    []"
+    for start in range(0, len(rows), EMIT_BLOCK_ROWS):
+        block = rows[start : start + EMIT_BLOCK_ROWS]
+        text = ",".join(map(template.__mod__, map(tuple, block.tolist())))
+        if not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(("," if start else "") + text)
+    fh.write("\n  ]\n}")
 
 
 def _pqpair(p: float, q: float) -> PQPair:
@@ -137,12 +157,17 @@ def cmd_pq(args) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be a nonnegative integer, got {args.n}")
     pq = _pqpair(args.p, args.q)
-    rows = []
-    for k in range(args.n + 1):
-        rows.append(
-            [k, pq_integer(k, pq), pq_factorial(k, pq), pq_binomial(args.n, k, pq)]
-        )
-    _emit(args, ["k", "pq_integer", "pq_factorial", f"binomial_{args.n}_k"], rows, "pq")
+    columns = ["k", "pq_integer", "pq_factorial", f"binomial_{args.n}_k"]
+    rows = [
+        [k, pq_integer(k, pq), fact, binom]
+        for k, (fact, binom) in enumerate(zip(pq_factorials(args.n, pq), pq_binomials(args.n, pq)))
+    ]
+    for row in rows:
+        for name, v in zip(columns[2:], row[2:]):
+            if not 0 < v < math.inf:
+                what = "underflows to 0" if v == 0 else "overflows"
+                raise FloatRangeError(f"{name} {what} at k = {row[0]}")
+    _emit(args, columns, rows, "pq")
     return 0
 
 
@@ -525,7 +550,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except FloatRangeError as exc:
         # raised only where a printed raw-pair value leaves the double range:
-        # pq's pq_factorial column and central-moments' display_A_form column
+        # pq's pq_factorial and binomial columns and central-moments'
+        # display_A_form column
         print(f"error: --p/--q: {exc} on the float path", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:  # parse, hypothesis and domain errors too

@@ -38,7 +38,9 @@ __all__ = [
     "pq_integer",
     "bracket_values",
     "pq_factorial",
+    "pq_factorials",
     "pq_binomial",
+    "pq_binomials",
     "log_factorials",
     "pq_binomial_expansion_check",
 ]
@@ -134,17 +136,23 @@ def bracket_values(n: int, pq: PQPair) -> list:
     return out
 
 
-def pq_factorial(n: int, pq: PQPair) -> Number:
-    """[n]! = [n][n-1]...[1], with [0]! = 1."""
+def pq_factorials(n: int, pq: PQPair) -> list:
+    """[0]!, [1]!, ..., [n]! as running products [k]! = [k-1]! [k] of one
+    bracket table, with [0]! = 1."""
     if n < 0:
         raise ValueError(f"factorial undefined for n={n}")
     br = bracket_values(n, pq)
     if n > 0 and not br[n]:  # a zero bracket makes every later one zero
         raise FloatRangeError(f"[{br.index(0, 1)}]_{{p,q}} underflows to 0")
-    acc = _one(pq)
+    out = [_one(pq)]
     for v in br[1:]:
-        acc *= v
-    return acc
+        out.append(out[-1] * v)
+    return out
+
+
+def pq_factorial(n: int, pq: PQPair) -> Number:
+    """[n]! = [n][n-1]...[1], with [0]! = 1."""
+    return pq_factorials(n, pq)[-1]
 
 
 def log_factorials(n: int, pq: PQPair) -> list[float]:
@@ -157,28 +165,40 @@ def log_factorials(n: int, pq: PQPair) -> list[float]:
     return out
 
 
-def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
-    """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!).
+def pq_binomials(n: int, pq: PQPair) -> list:
+    """The row of (p,q)-binomial coefficients [n over k], k = 0..n.
 
-    Exact mode multiplies bracket ratios directly.  Float mode uses
-    [n over k]_{p,q} = p^(k(n-k)) [n over k]_r in the log domain, which
-    keeps the computation stable for n up to several hundred.
+    Exact mode steps [n over k+1] = [n over k] [n-k] / [k+1] along one
+    bracket table.  Float mode uses [n over k]_{p,q} = p^(k(n-k)) [n over k]_r
+    in the log domain of one log-factorial table, which keeps the
+    computation stable for n up to several hundred; a coefficient above
+    the double range is inf.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    if k == 0 or k == n:
-        return _one(pq)
+    if n < 0:
+        raise ValueError(f"binomial undefined for n={n}")
     if pq.is_exact:
         br = bracket_values(n, pq)
-        num = Fraction(1)
-        den = Fraction(1)
-        kk = min(k, n - k)
-        for i in range(1, kk + 1):
-            num *= br[n - kk + i]
-            den *= br[i]
-        return num / den
+        out = [Fraction(1)]
+        for k in range(n):
+            out.append(out[-1] * br[n - k] / br[k + 1])
+        return out
     lf = log_factorials(n, pq)
-    return math.exp(k * (n - k) * math.log(pq.p) + lf[n] - lf[k] - lf[n - k])
+    log_p = math.log(pq.p)
+    out = [1.0] * (n + 1)
+    for k in range(1, n):
+        try:
+            out[k] = math.exp(k * (n - k) * log_p + lf[n] - lf[k] - lf[n - k])
+        except OverflowError:  # inf, as a product of brackets would overflow
+            out[k] = math.inf
+    return out
+
+
+def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
+    """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!): entry k of
+    ``pq_binomials(n, pq)``."""
+    if not 0 <= k <= n:
+        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
+    return pq_binomials(n, pq)[k]
 
 
 def pq_binomial_expansion_check(

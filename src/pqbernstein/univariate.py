@@ -33,7 +33,15 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .pq_core import FloatRangeError, PQPair, bracket_values, is_exact, log_factorials, pq_integer
+from .pq_core import (
+    FloatRangeError,
+    PQPair,
+    bracket_values,
+    is_exact,
+    log_factorials,
+    pq_binomials,
+    pq_integer,
+)
 
 Number = Union[int, float, Fraction]
 
@@ -104,16 +112,15 @@ def basis_row(n: int, x, pq: PQPair) -> np.ndarray:
 def basis_row_exact(n: int, x: Fraction, pq: PQPair) -> list[Fraction]:
     """Exact-rational basis weights from the literal defining formula.
 
-    O(n) Fraction operations: one bracket table, the binomials by
-    [n over k+1] = [n over k] [n-k] / [k+1], and the falling products
-    prod_{s<c} (p^s - q^s x) as prefix products.
+    O(n) Fraction operations: one row of binomials (``pq_binomials``)
+    and the falling products prod_{s<c} (p^s - q^s x) as prefix products.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     pq = pq.exact()
     x = Fraction(x)
     p, q = pq.p, pq.q
-    br = bracket_values(n, pq)
+    binoms = pq_binomials(n, pq)
     falling = [Fraction(1)]  # falling[c] = prod_{s<c} (p^s - q^s x)
     ppow = qpow = Fraction(1)
     for _ in range(n):
@@ -121,13 +128,11 @@ def basis_row_exact(n: int, x: Fraction, pq: PQPair) -> list[Fraction]:
         ppow *= p
         qpow *= q
     out = []
-    binom = xpow = Fraction(1)
+    xpow = Fraction(1)
     for k in range(n + 1):
         e = k * (k - 1) - n * (n - 1)  # always even
-        out.append(p ** (e // 2) * binom * xpow * falling[n - k])
-        if k < n:
-            binom = binom * br[n - k] / br[k + 1]
-            xpow *= x
+        out.append(p ** (e // 2) * binoms[k] * xpow * falling[n - k])
+        xpow *= x
     return out
 
 

@@ -14,6 +14,7 @@ from pqbernstein.bivariate import (
     SCHEDULES,
     BiParams,
     ParamSchedule,
+    _SLAB_ROWS,
     _eval_grid,
     _exact_row_sums,
     abs_error_grid,
@@ -234,6 +235,9 @@ class TestExactRowSums:
             [0.1] * 10,
             [-1.5, 2.0**-60, -(2.0**-60)],
             [],
+            # 65 entries from 1e308 down to 5e-324, signs mixed: all 68
+            # digits, and negative bins whose high halves need the bias
+            [(-1) ** (i % 3) * 10.0 ** (308 - 10 * i) for i in range(63)] + [5e-324, -1e-320],
         ],
     )
     def test_rounding_cases(self, row):
@@ -268,6 +272,47 @@ class TestBiApplySums:
         f = CORPUS["ripple"].fn
         for x, y in ((0.03, 0.6), (0.45, 0.55), (0.8, 0.97)):
             assert bi_apply(f, params, x, y).hex() == _nested_fsum(f, params, x, y).hex()
+
+    def test_equals_nested_fsum_with_trimmed_rows_and_columns(self):
+        # n + 1 = 1001 rows: the last slab is partial.  Near 0 the nonzero
+        # weights stop short of the last node, near 1 they start after the
+        # first, so the rows and the columns are trimmed on both sides.
+        pq = SCHEDULES["i"].pair(1000)
+        params = BiParams(pq, pq, 1000, 700)
+        assert (params.n + 1) % _SLAB_ROWS
+        f = CORPUS["ripple"].fn
+        for x, y in ((0.02, 0.98), (0.98, 0.02), (0.03, 0.04), (0.97, 0.96)):
+            for d, v in ((params.n, x), (params.m, y)):
+                w = basis_row(d, v, pq)
+                assert w[0] == 0 or w[-1] == 0
+            assert bi_apply(f, params, x, y).hex() == _nested_fsum(f, params, x, y).hex(), (x, y)
+
+    def test_peak_memory_is_bounded_at_n_2048(self):
+        # f is evaluated a slab of rows at a time: the (n+1) x (m+1) grid
+        # of f values (33.6 MB) is never held
+        pq = SCHEDULES["ii"].pair(2048)
+        params = BiParams(pq, pq, 2048, 2048)
+        tracemalloc.start()
+        try:
+            bi_apply(CORPUS["quad"].fn, params, 0.5, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_non_finite_f_at_a_zero_weight_node_in_a_late_slab(self):
+        # every node is evaluated and checked, with zero weight or not; the
+        # first non-finite node (row-major) is named
+        def spike(s, t):
+            return np.where(s > 0.99, np.inf, s * t)
+
+        pq = SCHEDULES["ii"].pair(2048)
+        k = int(np.flatnonzero(nodes(2048, pq) > 0.99)[0])
+        assert k >= _SLAB_ROWS and basis_row(2048, 0.2, pq)[k] == 0
+        msg = "spike is not finite at the node (0.9902576318185723, 0.0): inf"
+        with pytest.raises(ValueError) as err:
+            bi_apply(spike, BiParams(pq, pq, 2048, 2048), 0.2, 0.6)
+        assert str(err.value) == msg
 
     def test_non_finite_f_is_rejected(self):
         params = _params(4, 4)

@@ -21,7 +21,14 @@ from pqbernstein import cli
 from pqbernstein.bivariate import BiParams, _eval_grid, bi_apply_grid
 from pqbernstein.convergence import THEOREMS
 from pqbernstein.functions import CORPUS, resolve_function
-from pqbernstein.pq_core import PQPair
+from pqbernstein.pq_core import (
+    PQPair,
+    bracket_values,
+    log_factorials,
+    pq_binomial,
+    pq_factorial,
+    pq_integer,
+)
 
 # the child interpreter imports the same package as this test process
 SRC = str(Path(pqbernstein.__file__).resolve().parent.parent)
@@ -158,6 +165,34 @@ class TestFloatTableBytes:
         assert doc["rows"] == cells
         assert len(cells) == 64
 
+    def test_json_equals_json_dump(self):
+        # eval's --json document, and special doubles through _write, are
+        # byte for byte json.dump(doc, fh, indent=2) of the rows as lists
+        fn = resolve_function("-x*y").fn
+        params = BiParams(PQPair(0.95, 0.9), PQPair(0.95, 0.9), 9, 11)
+        xs = np.linspace(0.0, 1.0, 8)
+        B = bi_apply_grid(fn, params, xs, xs)
+        F = _eval_grid(fn, xs, xs)
+        rows = [
+            [x, y, fv, bv, abs(bv - fv)]
+            for x, frow, brow in zip(xs.tolist(), F.tolist(), B.tolist())
+            for y, fv, bv in zip(xs.tolist(), frow, brow)
+        ]
+        columns = ["x", "y", "f", "Bf", "abs_err"]
+        doc = {"schema_version": 1, "command": "eval", "columns": columns, "rows": rows}
+        assert _main_stdout([*self.ARGV, "--json"]) == json.dumps(doc, indent=2) + "\n"
+        values = [
+            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
+        ]
+        special = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+        for table in (special, np.empty((0, 3)), np.empty((2, 0))):
+            fh, ref = io.StringIO(), io.StringIO()
+            cli._write(fh, argparse.Namespace(json=True), ["a", "b", "c"], table, "t")
+            doc = {"schema_version": 1, "command": "t", "columns": ["a", "b", "c"]}
+            json.dump({**doc, "rows": table.tolist()}, ref, indent=2)
+            assert fh.getvalue() == ref.getvalue() + "\n", table.shape
+
     def test_special_doubles(self):
         values = [
             0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
@@ -167,6 +202,40 @@ class TestFloatTableBytes:
         fh = io.StringIO()
         cli._write(fh, argparse.Namespace(json=False), ["a", "b", "c"], table, "t")
         assert fh.getvalue() == _reference_csv(["a", "b", "c"], table.tolist())
+
+
+class TestPqTable:
+    """pq builds one bracket table and one log-factorial table per run; its
+    rows must be the per-k values."""
+
+    @staticmethod
+    def _per_k_rows(n, pq):
+        # the literal per-k formulas: [k]! as the product [1][2]...[k], and
+        # exp(k(n-k) log p + lf[n] - lf[k] - lf[n-k]) for the binomial
+        lf = log_factorials(n, pq)
+        rows = []
+        for k in range(n + 1):
+            fact = 1.0
+            for v in bracket_values(k, pq)[1:]:
+                fact *= v
+            binom = (
+                math.exp(k * (n - k) * math.log(pq.p) + lf[n] - lf[k] - lf[n - k])
+                if 0 < k < n
+                else 1.0
+            )
+            assert fact == pq_factorial(k, pq) and binom == pq_binomial(n, k, pq)
+            rows.append([k, pq_integer(k, pq), fact, binom])
+        return rows
+
+    @pytest.mark.parametrize("n", [0, 1, 56, 300])
+    def test_rows_equal_per_k_calls(self, n):
+        for p, q in ((1.0, 0.7), (0.9, 0.6)) if n < 300 else ((1.0, 0.7), (0.999, 0.9)):
+            argv = ["pq", "--n", str(n), "--p", str(p), "--q", str(q), "--json"]
+            rows = json.loads(_main_stdout(argv))["rows"]
+            expected = self._per_k_rows(n, PQPair(p, q))
+            assert [[float(v).hex() for v in r] for r in rows] == [
+                [float(v).hex() for v in r] for r in expected
+            ]
 
 
 class TestExitCodes:
@@ -203,6 +272,16 @@ class TestExitCodes:
         tiny = ["--p", "1e-300", "--q", "1e-301"]
         for argv, quantity in (
             (["pq", "--n", "8", *tiny], "[3]_{p,q} underflows to 0"),
+            # no bracket underflows, but products of brackets and p-powers do
+            (
+                ["pq", "--n", "60", "--p", "0.01", "--q", "0.005"],
+                "binomial_60_k underflows to 0 at k = 3",
+            ),
+            (
+                ["pq", "--n", "300", "--p", "0.97", "--q", "0.6"],
+                "pq_factorial underflows to 0 at k = 256",
+            ),
+            (["pq", "--n", "400", "--p", "1", "--q", "0.99"], "pq_factorial overflows at k = 186"),
             (["central-moments", "--n", "1", *tiny], "display_A_form: p^-4 overflows"),
             (
                 ["central-moments", "--n", "1", "--p", "1e-80", "--q", "1e-81"],
