@@ -130,10 +130,6 @@ def _write_json_table(fh, doc: dict, rows: np.ndarray) -> None:
     fh.write("\n  ]\n}")
 
 
-def _pqpair(p: float, q: float) -> PQPair:
-    return PQPair(p, q)
-
-
 def _schedule(name: str):
     if name not in SCHEDULES:
         raise ValueError(f"unknown schedule {name!r}; choose from {sorted(SCHEDULES)}")
@@ -156,7 +152,7 @@ def _degrees(text: str) -> list[int]:
 def cmd_pq(args) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be a nonnegative integer, got {args.n}")
-    pq = _pqpair(args.p, args.q)
+    pq = PQPair(args.p, args.q)
     columns = ["k", "pq_integer", "pq_factorial", f"binomial_{args.n}_k"]
     rows = [
         [k, pq_integer(k, pq), fact, binom]
@@ -175,7 +171,7 @@ def cmd_eval(args) -> int:
     if args.grid < 0:
         raise ValueError(f"--grid must be a nonnegative integer, got {args.grid}")
     tf = resolve_function(args.f)
-    params = BiParams(_pqpair(args.p1, args.q1), _pqpair(args.p2, args.q2), args.n, args.m)
+    params = BiParams(PQPair(args.p1, args.q1), PQPair(args.p2, args.q2), args.n, args.m)
     xs = np.linspace(0.0, 1.0, args.grid + 1)
     B = bi_apply_grid(tf.fn, params, xs, xs)
     F = _eval_grid(tf.fn, xs, xs)
@@ -188,7 +184,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    pq = _pqpair(args.p, args.q)
+    pq = PQPair(args.p, args.q)
     xs = np.linspace(0.0, 1.0, 21)
     rows = []
     for i in range(5):
@@ -204,7 +200,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_central_moments(args) -> int:
-    pq = _pqpair(args.p, args.q)
+    pq = PQPair(args.p, args.q)
     xs = np.linspace(0.0, 1.0, 21)
     rows = []
     for r in (2, 4):
@@ -327,6 +323,11 @@ def cmd_voronovskaja(args) -> int:
     except ValueError:
         raise ValueError(f"bad point {args.point!r}; expected 'x,y'") from None
     degrees = _degrees(args.degrees)
+    # the trace and its Richardson row need two or more increasing degrees
+    if len(degrees) < 2 or degrees != sorted(set(degrees)):
+        raise ValueError(
+            f"--degrees must be two or more strictly increasing degrees, got {args.degrees!r}"
+        )
     trace = voronovskaja_trace(tf, sched, (x, y), degrees)
     rows = [
         [n, v, trace.predicted_limit, e]

@@ -27,8 +27,12 @@ marched outward until the dilation is max(f) everywhere; the Peetre-K
 surrogate mollifies with a separable truncated Gaussian (per axis, one
 np.convolve over the edge-padded lines laid end to end); the Lipschitz
 hypothesis is checked from per-axis power tables.  A certificate records
-measured left-hand side, computed bound, margin and pass flag, in both a
-pointwise form (node by node) and a uniform form (sup-grid deltas).
+measured left-hand side, computed bound, margin and pass flag.  Each
+theorem's bound is written once, in ``_bounds``, and evaluated at every
+node of the certificate grid; the uniform columns are the grid maxima of
+those pointwise bounds.  Every bound is nondecreasing in both deltas, and
+the lattice maxima of d_n and d_m meet at one of its nodes, so the grid
+maximum is the bound at the sup deltas.
 
 Where the work lives.  A ``ModulusTable`` holds every grid table of one
 function, all derived from one evaluation of f on the OMEGA_GRID grid:
@@ -44,7 +48,7 @@ held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -52,15 +56,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bivariate import BiParams, ParamSchedule, _eval_grid, abs_error_grid
-from .functions import LipschitzSpec, TargetFunction2D, fd_partial
+from .functions import LipschitzSpec, TargetFunction2D
 from .univariate import uni_central_moment
 
 __all__ = [
     "THEOREMS",
     "ModulusTable",
-    "delta_n",
-    "delta_m",
-    "delta_nm",
     "HypothesisError",
     "verify_lipschitz",
     "BoundCertificate",
@@ -259,32 +260,6 @@ class ModulusTable:
         return float(best) if d.ndim == 0 else best
 
 
-# --- the delta quantities ----------------------------------------------------
-
-
-def _delta2_axis(pq, n: int, v):
-    return uni_central_moment(2, n, np.asarray(v, dtype=float), pq)
-
-
-def delta_n(params: BiParams, x) -> np.ndarray | float:
-    """sqrt(p1^{n-1}/[n] (x - x^2))."""
-    out = np.sqrt(_delta2_axis(params.pq1, params.n, x))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def delta_m(params: BiParams, y) -> np.ndarray | float:
-    out = np.sqrt(_delta2_axis(params.pq2, params.m, y))
-    return float(out) if np.ndim(y) == 0 else out
-
-
-def delta_nm(params: BiParams, x, y) -> np.ndarray | float:
-    """sqrt(d_n^2 + d_m^2); satisfies d_nm^2 = d_n^2 + d_m^2 exactly."""
-    out = np.sqrt(
-        _delta2_axis(params.pq1, params.n, x) + _delta2_axis(params.pq2, params.m, y)
-    )
-    return float(out) if (np.ndim(x) == 0 and np.ndim(y) == 0) else out
-
-
 # --- hypotheses ---------------------------------------------------------------
 
 
@@ -313,13 +288,7 @@ def verify_lipschitz(f: Callable, spec: LipschitzSpec) -> tuple[bool, float]:
 
 def _sup_partial_norms(tf: TargetFunction2D) -> tuple[float, float]:
     xs = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    if tf.has_analytic_partials:
-        gx, gy = tf.fx(X, Y), tf.fy(X, Y)
-    else:
-        gx = fd_partial(tf.fn, X, Y, "x", 1, 1e-5)
-        gy = fd_partial(tf.fn, X, Y, "y", 1, 1e-5)
-    return float(np.max(np.abs(gx))), float(np.max(np.abs(gy)))
+    return tuple(float(np.max(np.abs(_eval_grid(g, xs, xs)))) for g in (tf.fx, tf.fy))
 
 
 def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
@@ -348,6 +317,8 @@ def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
     if theorem_id == "c1":
         if not tf.c1:
             raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
+        if tf.fx is None or tf.fy is None:
+            raise HypothesisError("c1-smoothness", f"{tf.name} gives no first partials")
         return _sup_partial_norms(tf)
     return None
 
@@ -359,9 +330,11 @@ def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
 class BoundCertificate:
     """Measured error vs. theorem bound for one function and degree pair.
 
-    ``passed`` is judged on the conservative columns (omega at 2*delta
-    for the modulus theorems, the weaker a/2 exponent for the Lipschitz
-    theorem), both pointwise and uniform.
+    The uniform columns ``rhs`` and ``rhs_conservative`` are the grid
+    maxima of the pointwise bounds, which is each bound at the sup
+    deltas.  ``passed`` is judged on the conservative column (omega at
+    2*delta for the modulus theorems, the weaker a/2 exponent for the
+    Lipschitz theorem), node by node; the uniform check then follows.
     """
 
     theorem_id: str
@@ -377,7 +350,6 @@ class BoundCertificate:
     pointwise_ok: bool
     pointwise_ok_conservative: bool
     passed: bool
-    variants: dict[str, float] = field(default_factory=dict)
     notes: str = ""
 
 
@@ -388,16 +360,51 @@ class _Gap(NamedTuple):
     params: BiParams
     grid: int
     err: np.ndarray  # err[i, j] = |Bf - f| at (xs[i], xs[j])
-    dn2: np.ndarray  # d_n^2 over the x grid
-    dm2: np.ndarray  # d_m^2 over the y grid
+    dn2: np.ndarray  # d_n^2 over the x grid, a column
+    dm2: np.ndarray  # d_m^2 over the y grid, a row
 
 
 def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
     err = abs_error_grid(tf, params, grid)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    dn2 = _delta2_axis(params.pq1, params.n, xs)
-    dm2 = _delta2_axis(params.pq2, params.m, xs)
-    return _Gap(params, grid, err, dn2, dm2)
+    dn2 = uni_central_moment(2, params.n, xs, params.pq1)
+    dm2 = uni_central_moment(2, params.m, xs, params.pq2)
+    return _Gap(params, grid, err, dn2[:, None], dm2[None, :])
+
+
+def _bounds(
+    theorem_id: str, constants, table: ModulusTable, dn2: np.ndarray, dm2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One theorem's pointwise bound on the certificate grid, as the pair
+    (sharp, conservative) of arrays; ``dn2`` is a column, ``dm2`` a row.
+
+    Each bound is nondecreasing in both deltas, so its grid maximum is
+    its value at the sup deltas: the uniform bound."""
+    dn, dm = np.sqrt(dn2), np.sqrt(dm2)
+    if theorem_id == "complete-modulus":
+        D = np.sqrt(dn2 + dm2)
+        return 2 * table.omega(D), 2 * table.omega(2 * D)
+    if theorem_id == "partial-moduli":
+        # sharp form: w1 + w2; the conservative form carries 2(w1 + w2)
+        wx, wy = table.omega_partial("x", dn), table.omega_partial("y", dm)
+        wxc, wyc = table.omega_partial("x", 2 * dn), table.omega_partial("y", 2 * dm)
+        return wx + wy, 2 * (wxc + wyc)
+    if theorem_id == "lipschitz":
+        sp = constants
+        # exponent convention: the sharp bound is d^alpha; the d^(alpha/2)
+        # variant is larger (d <= 1) and kept as the conservative column
+        return (
+            sp.M * dn**sp.alpha1 * dm**sp.alpha2,
+            sp.M * dn ** (sp.alpha1 / 2) * dm ** (sp.alpha2 / 2),
+        )
+    if theorem_id == "c1":
+        nx, ny = constants
+        bound = nx * dn + ny * dm
+        return bound, bound
+    # peetre-k: 2 K(f; d*/2) with d* = max(d_n^2, d_m^2)/2
+    d_star = 0.5 * np.maximum(dn2, dm2)
+    bound = 2 * table.peetre_k(d_star / 2)
+    return bound, bound
 
 
 def _certificate(
@@ -410,60 +417,11 @@ def _certificate(
 ) -> BoundCertificate:
     """One theorem's certificate, given its hypothesis constants (from
     ``_check_hypothesis``), the function's tables and the shared gap."""
-    lhsM, dn2, dm2 = gap.err, gap.dn2, gap.dm2
-    lhs_sup = float(np.max(lhsM))
-    dn = np.sqrt(dn2)
-    dm = np.sqrt(dm2)
-    variants: dict[str, float] = {}
-
-    if theorem_id == "complete-modulus":
-        D = np.sqrt(dn2[:, None] + dm2[None, :])
-        rhsM = 2 * table.omega(D)
-        rhsM_cons = 2 * table.omega(2 * D)
-        dsup = float(np.max(D))
-        rhs_u = 2 * float(table.omega(dsup))
-        rhs_uc = 2 * float(table.omega(2 * dsup))
-        variants["delta_sup"] = dsup
-    elif theorem_id == "partial-moduli":
-        w1 = table.omega_partial("x", dn)
-        w2 = table.omega_partial("y", dm)
-        w1c = table.omega_partial("x", 2 * dn)
-        w2c = table.omega_partial("y", 2 * dm)
-        # sharp form: w1 + w2; the conservative form carries 2(w1 + w2)
-        rhsM = w1[:, None] + w2[None, :]
-        rhsM_cons = 2 * (w1c[:, None] + w2c[None, :])
-        dn_sup, dm_sup = float(np.max(dn)), float(np.max(dm))
-        rhs_u = float(table.omega_partial("x", dn_sup) + table.omega_partial("y", dm_sup))
-        rhs_uc = 2 * float(
-            table.omega_partial("x", 2 * dn_sup) + table.omega_partial("y", 2 * dm_sup)
-        )
-        variants["rhs_sharp_uniform"] = rhs_u
-        variants["sharp_pointwise_ok"] = float(np.all(lhsM <= rhsM + PASS_SLACK))
-    elif theorem_id == "lipschitz":
-        sp = constants
-        # exponent convention: the sharp bound is d^alpha; the d^(alpha/2)
-        # variant is larger (d <= 1) and kept as the conservative column
-        rhsM = sp.M * dn[:, None] ** sp.alpha1 * dm[None, :] ** sp.alpha2
-        rhsM_cons = sp.M * dn[:, None] ** (sp.alpha1 / 2) * dm[None, :] ** (sp.alpha2 / 2)
-        dn_sup, dm_sup = float(np.max(dn)), float(np.max(dm))
-        rhs_u = sp.M * dn_sup**sp.alpha1 * dm_sup**sp.alpha2
-        rhs_uc = sp.M * dn_sup ** (sp.alpha1 / 2) * dm_sup ** (sp.alpha2 / 2)
-        variants["rhs_derived_uniform"] = rhs_u
-        variants["derived_pointwise_ok"] = float(np.all(lhsM <= rhsM + PASS_SLACK))
-    elif theorem_id == "c1":
-        nx, ny = constants
-        rhsM = rhsM_cons = nx * dn[:, None] + ny * dm[None, :]
-        rhs_u = rhs_uc = nx * float(np.max(dn)) + ny * float(np.max(dm))
-        variants["norm_fx"] = nx
-        variants["norm_fy"] = ny
-    else:  # peetre-k
-        D = 0.5 * np.maximum(dn2[:, None], dm2[None, :])
-        rhsM = rhsM_cons = 2 * table.peetre_k(D / 2)
-        dsup = float(np.max(D))
-        rhs_u = rhs_uc = 2 * table.peetre_k(dsup / 2)
-        variants["delta_star_sup"] = dsup
-
-    pwc = bool(np.all(lhsM <= rhsM_cons + PASS_SLACK))
+    sharp, cons = _bounds(theorem_id, constants, table, gap.dn2, gap.dm2)
+    lhs = float(np.max(gap.err))
+    rhs_cons = float(np.max(cons))
+    # lhs <= cons node by node implies lhs <= rhs_cons, its grid maximum
+    pointwise_cons = bool(np.all(gap.err <= cons + PASS_SLACK))
     return BoundCertificate(
         theorem_id=theorem_id,
         f_name=tf.name,
@@ -471,14 +429,13 @@ def _certificate(
         n=gap.params.n,
         m=gap.params.m,
         grid=gap.grid,
-        lhs=lhs_sup,
-        rhs=rhs_u,
-        rhs_conservative=rhs_uc,
-        margin=rhs_uc - lhs_sup,
-        pointwise_ok=bool(np.all(lhsM <= rhsM + PASS_SLACK)),
-        pointwise_ok_conservative=pwc,
-        passed=pwc and lhs_sup <= rhs_uc + PASS_SLACK,
-        variants=variants,
+        lhs=lhs,
+        rhs=float(np.max(sharp)),
+        rhs_conservative=rhs_cons,
+        margin=rhs_cons - lhs,
+        pointwise_ok=bool(np.all(gap.err <= sharp + PASS_SLACK)),
+        pointwise_ok_conservative=pointwise_cons,
+        passed=pointwise_cons,
     )
 
 

@@ -53,15 +53,10 @@ class TargetFunction2D:
     fyy: Optional[Callable] = None
     lipschitz: Optional[LipschitzSpec] = None
     c1: bool = False
-    c2: bool = False
     description: str = ""
 
     def __call__(self, x, y):
         return self.fn(x, y)
-
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self.fx is not None and self.fy is not None
 
     @property
     def has_second_partials(self) -> bool:
@@ -86,7 +81,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fyy=_zero,
             lipschitz=LipschitzSpec(1.0, 1.0, 1.0),
             c1=True,
-            c2=True,
             description="constant 1",
         ),
         TargetFunction2D(
@@ -97,7 +91,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            c2=True,
             description="x",
         ),
         TargetFunction2D(
@@ -108,7 +101,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            c2=True,
             description="y",
         ),
         TargetFunction2D(
@@ -119,7 +111,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            c2=True,
             description="x*y",
         ),
         TargetFunction2D(
@@ -130,7 +121,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=lambda x, y: 2.0,
             fyy=lambda x, y: 2.0,
             c1=True,
-            c2=True,
             description="x^2 + y^2",
         ),
         TargetFunction2D(
@@ -141,7 +131,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
             fyy=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
             c1=True,
-            c2=True,
             description="sin(pi x) sin(pi y)",
         ),
         TargetFunction2D(

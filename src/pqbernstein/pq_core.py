@@ -223,11 +223,11 @@ def pq_binomial_expansion_check(
     p, q = pq.p, pq.q
 
     lhs = Fraction(0) if exact else 0.0
-    for k in range(n + 1):
+    for k, binom in enumerate(pq_binomials(n, pq)):
         term = (
             p ** math.comb(n - k, 2)
             * q ** math.comb(k, 2)
-            * pq_binomial(n, k, pq)
+            * binom
             * a ** (n - k)
             * b**k
             * x ** (n - k)

@@ -9,8 +9,7 @@ p_n^n -> a:
 * for f with second partials, [n] (B_{n,n} f - f)(x,y) approaches
   a(x - x^2) f_xx / 2 + a(y - y^2) f_yy / 2.
 
-Only a enters any limit; b = lim q_n^n is carried in the trace purely as
-a diagnostic.
+Only a enters any limit; the schedule's b = lim q_n^n enters none.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ class AsymptoticTrace:
     scaled_values: list[float]
     predicted_limit: float
     errors: list[float] = field(default_factory=list)
-    declared_a: float = float("nan")
-    declared_b: float = float("nan")
 
     def __post_init__(self) -> None:
         if list(self.degrees) != sorted(set(self.degrees)):
@@ -101,8 +98,6 @@ def scaled_central_moment_limit_check(
         point=(x, x),
         scaled_values=values,
         predicted_limit=limit,
-        declared_a=schedule.declared_a,
-        declared_b=schedule.declared_b,
     )
 
 
@@ -140,8 +135,6 @@ def voronovskaja_trace(
         point=(x, y),
         scaled_values=values,
         predicted_limit=limit,
-        declared_a=schedule.declared_a,
-        declared_b=schedule.declared_b,
     )
 
 

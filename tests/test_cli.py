@@ -320,6 +320,17 @@ class TestExitCodes:
                 if i == "0":
                     assert closed == "1", (argv, x, closed)
 
+    def test_voronovskaja_degrees_checked_before_any_rung(self, monkeypatch, capsys):
+        def no_trace(*args):
+            raise AssertionError("the degree ladder ran")
+
+        monkeypatch.setattr(cli, "voronovskaja_trace", no_trace)
+        for degrees in ("2048,1024", "1024", "64,64"):
+            assert cli.main(["voronovskaja", "--f", "quad", "--degrees", degrees]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --degrees "), (degrees, err)
+            assert err.count("\n") == 1, (degrees, err)
+
     def test_hypothesis_violation_is_2(self):
         res = run_cli(
             ["certify", "--theorem", "c1", "--f", "vee", "--schedule", "i", "--degrees", "4"]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,18 +24,46 @@ from pqbernstein.convergence import (
     _mollify,
     certification_sweep,
     certify_bound,
-    delta_m,
-    delta_n,
-    delta_nm,
     verify_lipschitz,
 )
 from pqbernstein.functions import CORPUS, LipschitzSpec, from_expression
 from pqbernstein.pq_core import PQPair
+from pqbernstein.univariate import uni_central_moment
 
 
 def _params(n=8, m=8):
     sched = SCHEDULES["i"]
     return BiParams(pq1=sched.pair(n), pq2=sched.pair(m), n=n, m=m)
+
+
+def _uniform_reference(theorem, tf, table, params, grid=50):
+    """(rhs, rhs_conservative) of one certificate, each theorem's uniform
+    bound written as a scalar formula at the sup deltas of the lattice.
+    The C^1 norms come from the partials on a meshgrid."""
+    xs = np.linspace(0.0, 1.0, grid + 1)
+    dn2 = float(np.max(uni_central_moment(2, params.n, xs, params.pq1)))
+    dm2 = float(np.max(uni_central_moment(2, params.m, xs, params.pq2)))
+    dn, dm = math.sqrt(dn2), math.sqrt(dm2)
+    if theorem == "complete-modulus":
+        d = math.sqrt(dn2 + dm2)
+        return 2 * table.omega(d), 2 * table.omega(2 * d)
+    if theorem == "partial-moduli":
+        rhs = table.omega_partial("x", dn) + table.omega_partial("y", dm)
+        return rhs, 2 * (table.omega_partial("x", 2 * dn) + table.omega_partial("y", 2 * dm))
+    if theorem == "lipschitz":
+        sp = tf.lipschitz
+        return (
+            sp.M * dn**sp.alpha1 * dm**sp.alpha2,
+            sp.M * dn ** (sp.alpha1 / 2) * dm ** (sp.alpha2 / 2),
+        )
+    if theorem == "c1":
+        g = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        nx = float(np.max(np.abs(tf.fx(X, Y))))
+        ny = float(np.max(np.abs(tf.fy(X, Y))))
+        return nx * dn + ny * dm, nx * dn + ny * dm
+    d_star = 0.5 * max(dn2, dm2)
+    return 2 * table.peetre_k(d_star / 2), 2 * table.peetre_k(d_star / 2)
 
 
 class TestModulus:
@@ -242,24 +271,19 @@ class TestGridFilters:
 
 
 class TestDeltas:
-    def test_pythagorean_combination(self):
-        params = _params(8, 16)
-        for x, y in ((0.2, 0.7), (0.5, 0.5)):
-            dn = delta_n(params, x)
-            dm = delta_m(params, y)
-            dnm = delta_nm(params, x, y)
-            assert dnm == pytest.approx(math.hypot(dn, dm), rel=1e-14)
-
+    # the squared deltas of the bounds are second central moments
     def test_vanishes_at_corners(self):
-        params = _params()
-        assert delta_nm(params, 0.0, 0.0) == 0.0
-        assert delta_nm(params, 1.0, 1.0) == 0.0
+        for name, sched in SCHEDULES.items():
+            for n in (2, 8, 33):
+                d2 = uni_central_moment(2, n, np.array([0.0, 1.0]), sched.pair(n))
+                assert d2.tolist() == [0.0, 0.0], (name, n)
 
     def test_shrinks_with_degree(self):
-        for x in (0.25, 0.5, 0.75):
-            d8 = delta_n(_params(8, 8), x)
-            d32 = delta_n(_params(32, 32), x)
-            assert d32 < d8
+        xs = np.array([0.25, 0.5, 0.75])
+        for sched in SCHEDULES.values():
+            d8 = uni_central_moment(2, 8, xs, sched.pair(8))
+            d32 = uni_central_moment(2, 32, xs, sched.pair(32))
+            assert np.all(0 < d32) and np.all(d32 < d8)
 
 
 class TestKSurrogate:
@@ -326,6 +350,9 @@ class TestCertificates:
             certify_bound("c1", CORPUS["vee"], _params())
         with pytest.raises(HypothesisError):
             certify_bound("lipschitz", CORPUS["quad"], _params())
+        # the C^1 norms come from the partials, so C^1 without them is refused
+        with pytest.raises(HypothesisError, match="no first partials"):
+            certify_bound("c1", replace(CORPUS["quad"], fy=None), _params())
 
     def test_sweep_covers_all_theorems_and_passes(self):
         certs, skipped = certification_sweep(
@@ -341,6 +368,30 @@ class TestCertificates:
         skipped_keys = {(s[0], s[1]) for s in skipped}
         assert ("c1", "vee") in skipped_keys
         assert ("lipschitz", "vee") in skipped_keys
+
+    def test_uniform_columns_equal_bounds_at_sup_deltas(self):
+        # the uniform columns are grid maxima of the pointwise bounds; they
+        # must equal each bound evaluated once at the sup deltas, bit for bit
+        functions = list(CORPUS.values())
+        schedules = list(SCHEDULES.values())
+        certs, _ = certification_sweep(THEOREMS, functions, schedules, [3, 4, 8, 16, 33])
+        tables = {tf.name: ModulusTable(tf.fn) for tf in functions}
+        seen = set()
+        for c in certs:
+            sched = SCHEDULES[c.schedule]
+            params = BiParams(sched.pair(c.n), sched.pair(c.m), c.n, c.m)
+            tf = CORPUS[c.f_name]
+            rhs, cons = _uniform_reference(c.theorem_id, tf, tables[tf.name], params)
+            assert (c.rhs.hex(), c.rhs_conservative.hex()) == (rhs.hex(), cons.hex()), c
+            seen.add((c.theorem_id, c.schedule))
+        assert len(seen) == len(THEOREMS) * len(SCHEDULES)
+        # unequal degrees and schedules on the two axes, on another lattice
+        params = BiParams(SCHEDULES["ii"].pair(5), SCHEDULES["iii"].pair(17), 5, 17)
+        for theorem in THEOREMS:
+            tf = CORPUS["const1" if theorem == "lipschitz" else "ripple"]
+            c = certify_bound(theorem, tf, params, grid=37)
+            rhs, cons = _uniform_reference(theorem, tf, tables[tf.name], params, grid=37)
+            assert (c.rhs.hex(), c.rhs_conservative.hex()) == (rhs.hex(), cons.hex()), c
 
     def test_lhs_shrinks_with_degree(self):
         lo = certify_bound("complete-modulus", CORPUS["ripple"], _params(4, 4))
@@ -383,13 +434,18 @@ def test_no_table_outlives_its_function():
     ref = ModulusTable(lambda x, y: x + 0.0 * y)
     k_ref = ref.peetre_k(0.01)
     params = _params(8, 8)
+    xs = np.linspace(0.0, 1.0, 51)
+    d_sup = math.sqrt(
+        np.max(uni_central_moment(2, params.n, xs, params.pq1))
+        + np.max(uni_central_moment(2, params.m, xs, params.pq2))
+    )
     for i in range(50):
         scale = 10.0 if i % 2 else 1.0
         tf = from_expression("10*x" if i % 2 else "x")
         table = ModulusTable(tf.fn)
         assert table.omega(0.5) == pytest.approx(0.5 * scale, rel=1e-12)
         cert = certify_bound("complete-modulus", tf, params)
-        assert cert.rhs == 2 * table.omega(cert.variants["delta_sup"])
-        assert cert.rhs_conservative == 2 * table.omega(2 * cert.variants["delta_sup"])
+        assert cert.rhs == 2 * table.omega(d_sup)
+        assert cert.rhs_conservative == 2 * table.omega(2 * d_sup)
         assert table.peetre_k(0.01) == pytest.approx(k_ref * scale, rel=1e-9)
         del tf, table, cert

@@ -1,7 +1,5 @@
 """Tests for the asymptotic (Voronovskaja-type) scaling experiments."""
 
-import math
-
 import pytest
 
 from pqbernstein.bivariate import SCHEDULES, BiParams, bi_apply
@@ -120,8 +118,6 @@ class TestRichardson:
             point=(0.5, 0.5),
             scaled_values=[1.0 + 3.0 / 100, 1.0 + 3.0 / 200],
             predicted_limit=1.0,
-            declared_a=math.exp(-1),
-            declared_b=math.exp(-1),
         )
         assert richardson_extrapolate(trace) == pytest.approx(1.0, abs=1e-14)
 
