@@ -22,6 +22,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,13 +58,24 @@ from .univariate import (
 )
 from .voronovskaja import (
     DEFAULT_DEGREES,
-    central_moment_brute,
     richardson_extrapolate,
     voronovskaja_trace,
 )
 
 SCHEMA_VERSION = 1
-EMIT_BLOCK_ROWS = 4096  # rows of a float table formatted per write
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A table with one row (x, y, *values) per x in ``xs`` and y in ``ys``,
+    x outer; value plane k holds column k + 2, one row of it per x."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    planes: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.xs.size * self.ys.size
 
 
 def _fmt(v) -> str:
@@ -72,12 +84,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, columns: list[str], rows: list[list] | np.ndarray, command: str) -> None:
-    """Write one table as CSV or JSON to ``--out``.
-
-    ``rows`` is a list of rows, or a 2-D float array for a table that is
-    all floats (``eval``'s grid).
-    """
+def _emit(args, columns: list[str], rows: list[list] | Grid, command: str) -> None:
+    """Write one table as CSV or JSON to ``--out``."""
     if args.out == "-":
         _write(sys.stdout, args, columns, rows, command)
     else:
@@ -88,46 +96,48 @@ def _emit(args, columns: list[str], rows: list[list] | np.ndarray, command: str)
 def _write(fh, args, columns, rows, command) -> None:
     if args.json:
         doc = {"schema_version": SCHEMA_VERSION, "command": command, "columns": columns}
-        if isinstance(rows, np.ndarray):
-            _write_json_table(fh, doc, rows)
+        if isinstance(rows, Grid):  # the bytes of the json.dump below, one x-line per write
+            fh.write(json.dumps(doc, indent=2)[:-2] + ',\n  "rows": [')  # [:-2] drops "\n}"
+            if len(rows):
+                _write_grid(fh, rows, as_json=True)
+                fh.write("\n  ")
+            fh.write("]\n}")
         else:
             json.dump({**doc, "rows": rows}, fh, indent=2)
         fh.write("\n")
         return
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(columns)
-    if isinstance(rows, np.ndarray):
-        # "%.17g" prints every double (nan, inf and -0 too) as _fmt does,
-        # and never a comma, quote or newline, so no cell needs quoting
-        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for start in range(0, len(rows), EMIT_BLOCK_ROWS):
-            block = rows[start : start + EMIT_BLOCK_ROWS].tolist()
-            fh.write("".join(map(template.__mod__, map(tuple, block))))
+    if isinstance(rows, Grid):
+        _write_grid(fh, rows, as_json=False)
     else:
         for row in rows:
             w.writerow([_fmt(v) for v in row])
 
 
-def _write_json_table(fh, doc: dict, rows: np.ndarray) -> None:
-    """``json.dump({**doc, "rows": rows.tolist()}, fh, indent=2)``, byte
-    for byte, with the rows formatted in blocks of EMIT_BLOCK_ROWS.
+def _write_grid(fh, grid: Grid, as_json: bool) -> None:
+    """Write the rows of ``grid``, one x-line per write, as CSV rows or as
+    the rows of ``json.dump(..., indent=2)``.
 
-    A cell is ``float.__repr__`` ("%r"), as json writes it; json spells
-    the non-finite doubles NaN, Infinity and -Infinity.
+    Each coordinate is formatted once: the y cells before the first
+    x-line, and each x into the row template of its x-line.  A CSV cell
+    is "%.17g", which prints every double (nan, inf and -0 too) as _fmt
+    does and never a comma, quote or newline, so no cell needs quoting.
+    A JSON cell is float.__repr__ ("%r"), as json writes it.
     """
-    fh.write(json.dumps(doc, indent=2)[:-2] + ',\n  "rows": [')  # [:-2] drops "\n}"
-    if not len(rows):
-        fh.write("]\n}")
-        return
-    cells = ",\n      ".join(["%r"] * rows.shape[1])
-    template = "\n    [\n      " + cells + "\n    ]" if cells else "\n    []"
-    for start in range(0, len(rows), EMIT_BLOCK_ROWS):
-        block = rows[start : start + EMIT_BLOCK_ROWS]
-        text = ",".join(map(template.__mod__, map(tuple, block.tolist())))
-        if not np.isfinite(block).all():
+    fmt, sep = ("%r", ",") if as_json else ("%.17g", "")
+    cells = ["{}", "%s"] + [fmt] * len(grid.planes)
+    if as_json:
+        row = "\n    [\n      " + ",\n      ".join(cells) + "\n    ]"
+    else:
+        row = ",".join(cells) + "\n"
+    ystr = [fmt % y for y in grid.ys.tolist()]
+    for i, x in enumerate(grid.xs.tolist()):
+        values = zip(ystr, *(plane[i].tolist() for plane in grid.planes))
+        text = sep.join(map(row.format(fmt % x).__mod__, values))
+        if as_json:  # json spells the non-finite doubles NaN, Infinity and -Infinity
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(("," if start else "") + text)
-    fh.write("\n  ]\n}")
+        fh.write(sep + text if i else text)
 
 
 def _schedule(name: str):
@@ -137,12 +147,13 @@ def _schedule(name: str):
 
 
 def _degrees(text: str) -> list[int]:
+    bad = ValueError(f"--degrees must be a comma-separated list of positive integers, got {text!r}")
     try:
         ds = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ValueError(f"bad degree list {text!r}") from None
+        raise bad from None
     if not ds or any(d < 1 for d in ds):
-        raise ValueError(f"bad degree list {text!r}")
+        raise bad
     return ds
 
 
@@ -175,11 +186,7 @@ def cmd_eval(args) -> int:
     xs = np.linspace(0.0, 1.0, args.grid + 1)
     B = bi_apply_grid(tf.fn, params, xs, xs)
     F = _eval_grid(tf.fn, xs, xs)
-    g = xs.size
-    table = np.column_stack(
-        [np.repeat(xs, g), np.tile(xs, g), F.ravel(), B.ravel(), np.abs(B - F).ravel()]
-    )
-    _emit(args, ["x", "y", "f", "Bf", "abs_err"], table, "eval")
+    _emit(args, ["x", "y", "f", "Bf", "abs_err"], Grid(xs, xs, (F, B, np.abs(B - F))), "eval")
     return 0
 
 
@@ -201,14 +208,13 @@ def cmd_moments(args) -> int:
 
 def cmd_central_moments(args) -> int:
     pq = PQPair(args.p, args.q)
-    xs = np.linspace(0.0, 1.0, 21)
     rows = []
     for r in (2, 4):
-        for x in xs:
-            closed = uni_central_moment(r, args.n, float(x), pq)
-            oracle = central_moment_brute(r, args.n, float(x), pq)
-            display = central_moment4_display(args.n, float(x), pq) if r == 4 else ""
-            rows.append([r, float(x), closed, oracle, abs(closed - oracle), display])
+        for x in np.linspace(0.0, 1.0, 21).tolist():
+            closed = uni_central_moment(r, args.n, x, pq)
+            oracle = uni_apply(lambda t: (t - x) ** r, args.n, x, pq)
+            display = central_moment4_display(args.n, x, pq) if r == 4 else ""
+            rows.append([r, x, closed, oracle, abs(closed - oracle), display])
     _emit(
         args,
         ["r", "x", "closed", "oracle", "abs_diff", "display_A_form"],

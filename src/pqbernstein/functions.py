@@ -53,7 +53,6 @@ class TargetFunction2D:
     fyy: Optional[Callable] = None
     lipschitz: Optional[LipschitzSpec] = None
     c1: bool = False
-    description: str = ""
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -81,7 +80,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fyy=_zero,
             lipschitz=LipschitzSpec(1.0, 1.0, 1.0),
             c1=True,
-            description="constant 1",
         ),
         TargetFunction2D(
             name="linx",
@@ -91,7 +89,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            description="x",
         ),
         TargetFunction2D(
             name="liny",
@@ -101,7 +98,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            description="y",
         ),
         TargetFunction2D(
             name="prodxy",
@@ -111,7 +107,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             c1=True,
-            description="x*y",
         ),
         TargetFunction2D(
             name="quad",
@@ -121,7 +116,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=lambda x, y: 2.0,
             fyy=lambda x, y: 2.0,
             c1=True,
-            description="x^2 + y^2",
         ),
         TargetFunction2D(
             name="ripple",
@@ -131,18 +125,15 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
             fyy=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
             c1=True,
-            description="sin(pi x) sin(pi y)",
         ),
         TargetFunction2D(
             name="vee",
             fn=lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5),
-            description="|x-1/2| + |y-1/2| (continuous, not C^1)",
         ),
         TargetFunction2D(
             name="lip_half",
             fn=lambda x, y: np.sqrt(np.abs(x - 0.5)) * np.sqrt(np.abs(y - 0.5)),
             lipschitz=LipschitzSpec(1.0, 0.5, 0.5),
-            description="|x-1/2|^(1/2) |y-1/2|^(1/2)",
         ),
     ]
 }
@@ -205,7 +196,6 @@ def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
         fy=partial("y", 1),
         fxx=partial("x", 2),
         fyy=partial("y", 2),
-        description=f"expression {text!r} (finite-difference partials)",
     )
 
 

@@ -22,13 +22,12 @@ import numpy as np
 
 from .bivariate import BiParams, ParamSchedule, bi_apply
 from .functions import TargetFunction2D
-from .pq_core import PQPair, pq_integer
-from .univariate import basis_row, nodes
+from .pq_core import pq_integer
+from .univariate import uni_apply
 
 __all__ = [
     "AsymptoticTrace",
     "MissingDerivativesError",
-    "central_moment_brute",
     "scaled_central_moment_limit_check",
     "voronovskaja_trace",
     "richardson_extrapolate",
@@ -61,13 +60,6 @@ class AsymptoticTrace:
             self.errors = [abs(v - self.predicted_limit) for v in self.scaled_values]
 
 
-def central_moment_brute(order: int, n: int, x: float, pq: PQPair) -> float:
-    """B((t-x)^order; x) by direct basis summation (float path)."""
-    w = basis_row(n, float(x), pq)
-    t = nodes(n, pq.floats())
-    return math.fsum(w * (t - x) ** order)
-
-
 def scaled_central_moment_limit_check(
     order: int,
     schedule: ParamSchedule,
@@ -91,7 +83,7 @@ def scaled_central_moment_limit_check(
         pq = schedule.pair(n)
         N = pq_integer(n, pq)
         scale = N if order == 2 else N * N
-        values.append(scale * central_moment_brute(order, n, x, pq))
+        values.append(scale * uni_apply(lambda t: (t - x) ** order, n, x, pq))
     return AsymptoticTrace(
         schedule=schedule.name,
         degrees=list(degrees),

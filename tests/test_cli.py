@@ -133,27 +133,63 @@ def _main_stdout(argv) -> str:
 
 
 class TestFloatTableBytes:
-    """eval emits its grid from one float array; the bytes must be those
-    of the per-cell route."""
+    """eval writes its grid one x-line at a time, each coordinate formatted
+    once; the bytes must be those of the per-cell route."""
 
     # x = 0 and y = 0 give exact zeros, f = -x*y prints -0 there, and Bf
-    # misses f by about 1e-17 inside, printed in exponent form
+    # misses f by about 1e-17 inside, printed in exponent form; --grid 0
+    # is the one-point grid
+    CASES = [("-x*y", 9, 11, 7), ("ripple", 5, 7, 0)]
     ARGV = ["eval", "--f=-x*y", "--n", "9", "--m", "11", "--grid", "7"]
+    COLUMNS = ["x", "y", "f", "Bf", "abs_err"]
 
-    def test_eval_csv_equals_list_route(self):
-        fn = resolve_function("-x*y").fn
-        params = BiParams(PQPair(0.95, 0.9), PQPair(0.95, 0.9), 9, 11)
-        xs = np.linspace(0.0, 1.0, 8)
+    @staticmethod
+    def _eval_case(f, n, m, grid):
+        """(argv, rows): eval's argv and its table as lists, row by row."""
+        argv = ["eval", f"--f={f}", "--n", str(n), "--m", str(m), "--grid", str(grid)]
+        fn = resolve_function(f).fn
+        params = BiParams(PQPair(0.95, 0.9), PQPair(0.95, 0.9), n, m)
+        xs = np.linspace(0.0, 1.0, grid + 1)
         B = bi_apply_grid(fn, params, xs, xs)
         F = _eval_grid(fn, xs, xs)
-        rows = [
+        return argv, [
             [x, y, fv, bv, abs(bv - fv)]
             for x, frow, brow in zip(xs.tolist(), F.tolist(), B.tolist())
             for y, fv, bv in zip(xs.tolist(), frow, brow)
         ]
-        expected = _reference_csv(["x", "y", "f", "Bf", "abs_err"], rows)
-        assert _main_stdout(self.ARGV) == expected
-        cells = [line.split(",") for line in expected.splitlines()[1:]]
+
+    @staticmethod
+    def _special_grids():
+        """(columns, grid, rows): grids whose value planes hold the special
+        doubles, with rows the same table as lists, x outer."""
+        values = [
+            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+            2.225073858507201e-308,  # the largest subnormal
+            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
+        ]
+        V = np.array(values + [1.0]).reshape(3, 5)
+        xs, ys = np.array([0.0, 0.1, 1.0]), np.array([0.0, 1 / 3, 0.5, 0.7, 1.0])
+        grids = [
+            cli.Grid(xs, ys, (V, -V)),  # len(xs) != len(ys)
+            cli.Grid(xs[:1], ys[:1], (V[:1, :1],)),  # one point
+            cli.Grid(xs[:0], ys, (V[:0],)),  # no rows: no x
+            cli.Grid(xs, ys[:0], (V[:, :0],)),  # no rows: no y
+        ]
+        for g in grids:
+            columns = ["x", "y"] + [f"v{k}" for k in range(len(g.planes))]
+            rows = [
+                [x, y, *(float(p[i, j]) for p in g.planes)]
+                for i, x in enumerate(g.xs.tolist())
+                for j, y in enumerate(g.ys.tolist())
+            ]
+            assert len(g) == len(rows)
+            yield columns, g, rows
+
+    def test_eval_csv_equals_list_route(self):
+        for case in self.CASES:
+            argv, rows = self._eval_case(*case)
+            assert _main_stdout(argv) == _reference_csv(self.COLUMNS, rows), argv
+        cells = [line.split(",") for line in _main_stdout(self.ARGV).splitlines()[1:]]
         assert any("e-17" in c[4] for c in cells)
         assert any(c[4] == "0" for c in cells)
         assert any(c[2] == "-0" for c in cells)
@@ -166,42 +202,36 @@ class TestFloatTableBytes:
         assert len(cells) == 64
 
     def test_json_equals_json_dump(self):
-        # eval's --json document, and special doubles through _write, are
-        # byte for byte json.dump(doc, fh, indent=2) of the rows as lists
-        fn = resolve_function("-x*y").fn
-        params = BiParams(PQPair(0.95, 0.9), PQPair(0.95, 0.9), 9, 11)
-        xs = np.linspace(0.0, 1.0, 8)
-        B = bi_apply_grid(fn, params, xs, xs)
-        F = _eval_grid(fn, xs, xs)
-        rows = [
-            [x, y, fv, bv, abs(bv - fv)]
-            for x, frow, brow in zip(xs.tolist(), F.tolist(), B.tolist())
-            for y, fv, bv in zip(xs.tolist(), frow, brow)
-        ]
-        columns = ["x", "y", "f", "Bf", "abs_err"]
-        doc = {"schema_version": 1, "command": "eval", "columns": columns, "rows": rows}
-        assert _main_stdout([*self.ARGV, "--json"]) == json.dumps(doc, indent=2) + "\n"
-        values = [
-            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
-            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
-        ]
-        special = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
-        for table in (special, np.empty((0, 3)), np.empty((2, 0))):
+        # eval's --json document, and special doubles through the grid
+        # writer, are byte for byte json.dump(doc, fh, indent=2) of the rows
+        # as lists
+        for case in self.CASES:
+            argv, rows = self._eval_case(*case)
+            doc = {"schema_version": 1, "command": "eval", "columns": self.COLUMNS, "rows": rows}
+            assert _main_stdout([*argv, "--json"]) == json.dumps(doc, indent=2) + "\n", argv
+        for columns, grid, rows in self._special_grids():
             fh, ref = io.StringIO(), io.StringIO()
-            cli._write(fh, argparse.Namespace(json=True), ["a", "b", "c"], table, "t")
-            doc = {"schema_version": 1, "command": "t", "columns": ["a", "b", "c"]}
-            json.dump({**doc, "rows": table.tolist()}, ref, indent=2)
-            assert fh.getvalue() == ref.getvalue() + "\n", table.shape
+            cli._write(fh, argparse.Namespace(json=True), columns, grid, "t")
+            doc = {"schema_version": 1, "command": "t", "columns": columns, "rows": rows}
+            json.dump(doc, ref, indent=2)
+            assert fh.getvalue() == ref.getvalue() + "\n", (grid.xs.size, grid.ys.size)
 
     def test_special_doubles(self):
-        values = [
-            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
-            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
-        ]
-        table = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
-        fh = io.StringIO()
-        cli._write(fh, argparse.Namespace(json=False), ["a", "b", "c"], table, "t")
-        assert fh.getvalue() == _reference_csv(["a", "b", "c"], table.tolist())
+        for columns, grid, rows in self._special_grids():
+            fh = io.StringIO()
+            cli._write(fh, argparse.Namespace(json=False), columns, grid, "t")
+            assert fh.getvalue() == _reference_csv(columns, rows), (grid.xs.size, grid.ys.size)
+
+    def test_out_file_equals_stdout(self, tmp_path):
+        argv = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
+        for fmt in ([], ["--json"]):
+            out = tmp_path / "eval.txt"
+            with contextlib.redirect_stdout(io.StringIO()) as echo:
+                assert cli.main([*argv, *fmt, "--out", str(out)]) == 0
+            assert echo.getvalue() == ""
+            text = _main_stdout([*argv, *fmt])
+            assert out.read_bytes() == text.encode(), fmt
+        assert text.count("\n    [") == 401 * 401
 
 
 class TestPqTable:
@@ -240,6 +270,7 @@ class TestPqTable:
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
+        bad_degrees = (["korovkin", "--f", "quad", "--degrees", "0"], ["certify", "--degrees", "4,x"])
         for argv in (
             ["pq", "--n", "6", "--p", "0.5", "--q", "0.9"],
             ["pq", "--n", "-3", "--p", "0.9", "--q", "0.5"],
@@ -258,6 +289,7 @@ class TestExitCodes:
             ["voronovskaja", "--f", "lip_half"],
             ["central-moments", "--n", "0", "--p", "0.9", "--q", "0.6"],
             ["central-moments", "--n", "-2", "--p", "0.9", "--q", "0.6"],
+            *bad_degrees,
             ["nonsense"],
         ):
             res = run_cli(argv)
@@ -267,6 +299,8 @@ class TestExitCodes:
                 # one line: no traceback and no numpy warnings
                 assert res.stderr.startswith("error: "), (argv, res.stderr)
                 assert res.stderr.count("\n") == 1, (argv, res.stderr)
+            if argv in bad_degrees:  # the line names the option
+                assert "--degrees" in res.stderr, (argv, res.stderr)
         # valid pairs whose printed raw-pair values leave the double range:
         # the one line names the options, the column and the quantity
         tiny = ["--p", "1e-300", "--q", "1e-301"]

@@ -5,10 +5,10 @@ import pytest
 from pqbernstein.bivariate import SCHEDULES, BiParams, bi_apply
 from pqbernstein.functions import CORPUS, from_expression
 from pqbernstein.pq_core import bracket_values
+from pqbernstein.univariate import uni_apply
 from pqbernstein.voronovskaja import (
     AsymptoticTrace,
     MissingDerivativesError,
-    central_moment_brute,
     richardson_extrapolate,
     scaled_central_moment_limit_check,
     voronovskaja_trace,
@@ -58,7 +58,7 @@ class TestScaledCentralMoments:
         pq = sched.pair(32)
         N = bracket_values(32, pq)[32]
         x = 0.3
-        mu2 = central_moment_brute(2, 32, x, pq)
+        mu2 = uni_apply(lambda t: (t - x) ** 2, 32, x, pq)
         assert mu2 == pytest.approx(pq.p**31 / N * (x - x * x), rel=1e-11)
 
     def test_rejects_unsupported_order(self):
