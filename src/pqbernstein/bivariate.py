@@ -22,6 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .functions import monomial_2d
 from .pq_core import PQPair, is_exact
 from .univariate import (
     basis_row,
@@ -44,7 +45,6 @@ __all__ = [
     "bi_central_moment2",
     "KorovkinRow",
     "korovkin_experiment",
-    "TEST_MONOMIALS",
 ]
 
 
@@ -62,6 +62,9 @@ class BiParams:
             raise ValueError(f"degrees must be >= 1, got n={self.n}, m={self.m}")
 
 
+_N_MIN = 2  # the lowest degree of every schedule
+
+
 @dataclass(frozen=True)
 class ParamSchedule:
     """A rule n -> (p_n, q_n) with its declared limits a = lim p_n^n,
@@ -71,13 +74,10 @@ class ParamSchedule:
     rule: Callable[[int], tuple[float, float]]
     declared_a: float
     declared_b: float
-    n_min: int = 2
 
     def pair(self, n: int) -> PQPair:
-        if n < self.n_min:
-            raise ValueError(
-                f"schedule {self.name!r} admissible only for n >= {self.n_min}"
-            )
+        if n < _N_MIN:
+            raise ValueError(f"schedule {self.name!r} admissible only for n >= {_N_MIN}")
         p, q = self.rule(n)
         return PQPair(p, q)
 
@@ -116,10 +116,10 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     the outer sum sum_k wx[k] inner_k is correctly rounded from its
     rounded products, so the result depends neither on summation order
     nor on BLAS.  f is evaluated, and checked finite, at every node, in
-    slabs of _SLAB_ROWS node rows taken in row order, so memory stays
+    blocks of _BLOCK_ROWS node rows taken in row order, so memory stays
     bounded whatever the degrees.  Terms with a zero weight add nothing
-    to an exact sum and are skipped; of each slab the rows with a nonzero
-    weight are summed in blocks of _BLOCK_ROWS over the nonzero columns.
+    to an exact sum and are skipped: of each block only the rows and
+    columns with a nonzero weight are summed.
     """
     wx = basis_row(params.n, float(x), params.pq1)
     wy = basis_row(params.m, float(y), params.pq2)
@@ -128,11 +128,11 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     cols = np.flatnonzero(wy)
     wy = wy[cols]
     inner = []
-    for start in range(0, sx.size, _SLAB_ROWS):
-        F = _eval_grid(f, sx[start : start + _SLAB_ROWS], ty)
-        rows = np.flatnonzero(wx[start : start + _SLAB_ROWS])
-        for b in range(0, rows.size, _BLOCK_ROWS):
-            inner.append(_exact_row_sums(F[np.ix_(rows[b : b + _BLOCK_ROWS], cols)] * wy))
+    for start in range(0, sx.size, _BLOCK_ROWS):
+        rows = np.flatnonzero(wx[start : start + _BLOCK_ROWS])
+        A = _eval_grid(f, sx[start : start + _BLOCK_ROWS], ty)[np.ix_(rows, cols)]
+        A *= wy
+        inner.append(_exact_row_sums(A))
     return float(_exact_row_sums((wx[wx != 0] * np.concatenate(inner))[None, :])[0])
 
 
@@ -145,7 +145,6 @@ def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
 _LSB_SHIFT = 1126
 _DIGITS = 68
 _BLOCK_ROWS = 32
-_SLAB_ROWS = 128
 # bins[j] = 2**32 * hi[j] + lo[j] with 0 <= lo[j] < 2**32 and
 # -2**31 <= hi[j] < 2**31; hi[j] is stored as hi[j] + 2**31, and this
 # constant takes the 2**31 offsets out again
@@ -154,33 +153,38 @@ _BIAS = sum(1 << (32 * j + 31) for j in range(1, _DIGITS + 1))
 
 def _exact_row_sums(A: np.ndarray) -> np.ndarray:
     """Correctly rounded (round-half-even) exact sum of each row of a
-    finite 2-D array: bit for bit what ``math.fsum`` returns on the row.
+    finite 2-D float64 array, which it overwrites: bit for bit what
+    ``math.fsum`` returns on the row.
 
     Each entry is cut into three signed 32-bit digits at its place in T;
     np.bincount adds the digits of each row into float64 bins, exactly
     while a row has fewer than 2**21 entries.  Each row's int64 bins then
     become one Python int, their low and high 32-bit halves read as two
     little-endian unsigned integers, and that int, divided by 2**1126,
-    rounds once (int true division is correctly rounded).
+    rounds once (int true division is correctly rounded).  The digits
+    are cut in A's storage and one more buffer: in bi_apply's block loop,
+    every array of block size allocated afresh costs page faults.
     """
     rows = A.shape[0]
-    mant, e = np.frexp(A)
+    size = rows * _DIGITS
+    v, e = np.frexp(A, out=(A, None))
     e += _LSB_SHIFT - 53  # position of the lowest significand bit in T
+    at = ((e >> 5) + np.arange(0, size, _DIGITS)[:, None]).ravel()
     # in units of 2**(32 * (e >> 5) + 64 - 1126) an entry lies in
     # (-2**20, 2**20); its integer part is the top digit, and its fraction,
     # scaled by 2**32 twice, gives the other two (all exact, signs kept)
-    v = np.ldexp(mant, (e & 31) - 11)
-    hi = np.trunc(v)
-    v -= hi
-    v *= 2.0**32
-    mid = np.trunc(v)
-    v -= mid
-    v *= 2.0**32
-    at = ((e >> 5) + np.arange(0, rows * _DIGITS, _DIGITS)[:, None]).ravel()
-    size = rows * _DIGITS
-    bins = np.bincount(at, v.ravel(), size)
-    bins[1:] += np.bincount(at, mid.ravel(), size)[:-1]
-    bins[2:] += np.bincount(at, hi.ravel(), size)[:-2]
+    e &= 31
+    e -= 11
+    np.ldexp(v, e, out=v)
+    del e  # before the digit buffer is allocated
+    bins = np.zeros(size)
+    digit = np.empty_like(v)
+    for place in (2, 1):  # the top digit goes two bins up, the middle one up
+        np.trunc(v, out=digit)
+        v -= digit
+        v *= 2.0**32
+        bins[place:] += np.bincount(at, digit.ravel(), size)[: size - place]
+    bins += np.bincount(at, v.ravel(), size)
     T = bins.astype(np.int64)
     low = (T & 0xFFFFFFFF).astype("<u4").tobytes()
     high = ((T >> 32) + 2**31).astype("<u4").tobytes()
@@ -249,6 +253,8 @@ def bi_apply_grid(
 
 
 _SELECTORS = ("1", "s", "t", "st", "s2", "t2")
+# the Korovkin column of each selector: e_ij(x, y) = x^i y^j
+_KOROVKIN_NAMES = ("e00", "e10", "e01", "e11", "e20", "e02")
 
 
 def bi_moment_closed(which: str, params: BiParams, x: Number, y: Number) -> Number:
@@ -291,17 +297,6 @@ def bi_central_moment2(axis: str, params: BiParams, x: Number, y: Number) -> Num
     return uni_central_moment(2, n, v, pq)
 
 
-# The Korovkin test set: e_ij(x,y) = x^i y^j for 0 <= i+j <= 2.
-TEST_MONOMIALS: dict[str, Callable] = {
-    "e00": lambda x, y: 1.0,
-    "e10": lambda x, y: x,
-    "e01": lambda x, y: y,
-    "e11": lambda x, y: x * y,
-    "e20": lambda x, y: x * x,
-    "e02": lambda x, y: y * y,
-}
-
-
 @dataclass
 class KorovkinRow:
     """Sup-errors at one degree pair, with the six test-function errors."""
@@ -330,30 +325,26 @@ def abs_error_grid(f: Callable, params: BiParams, grid: int) -> np.ndarray:
 
 
 def korovkin_experiment(
-    f: Callable,
-    sched1: ParamSchedule,
-    sched2: ParamSchedule,
-    degrees: Sequence[tuple[int, int]],
-    grid: int = 50,
+    f: Callable, schedule: ParamSchedule, degrees: Sequence[int], grid: int = 50
 ) -> list[KorovkinRow]:
-    """Sup-error table for f alongside the six Korovkin monomials.
+    """Sup-error table for f alongside the six Korovkin monomials
+    e_ij(x, y) = x^i y^j, 0 <= i+j <= 2, at n = m = each degree with the
+    schedule's pair on both axes.
 
-    A row is flagged when the schedule's empirical limits have visibly
+    A row is flagged when the schedule's empirical limit has visibly
     stalled (degenerate schedule diagnostics), never raised.
     """
     def sup_error(g: Callable, params: BiParams) -> float:
         return float(np.max(abs_error_grid(g, params, grid)))
 
     rows = []
-    for n, m in degrees:
-        params = BiParams(sched1.pair(n), sched2.pair(m), n, m)
-        errs = {name: sup_error(g, params) for name, g in TEST_MONOMIALS.items()}
-        warn = ""
-        pn, _ = sched1.empirical_limits(n)
-        pm, _ = sched2.empirical_limits(m)
-        if abs(pn - sched1.declared_a) > 0.5 or abs(pm - sched2.declared_a) > 0.5:
-            warn = "schedule far from declared limit"
+    for n in degrees:
+        pq = schedule.pair(n)
+        params = BiParams(pq, pq, n, n)
+        errs = {e: sup_error(monomial_2d(w), params) for e, w in zip(_KOROVKIN_NAMES, _SELECTORS)}
+        far = abs(schedule.empirical_limits(n)[0] - schedule.declared_a) > 0.5
+        warn = "schedule far from declared limit" if far else ""
         rows.append(
-            KorovkinRow(n=n, m=m, sup_error=sup_error(f, params), test_errors=errs, warn=warn)
+            KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs, warn=warn)
         )
     return rows

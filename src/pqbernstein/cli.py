@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bivariate import (
+    _SELECTORS,
     BiParams,
     SCHEDULES,
     _eval_grid,
@@ -50,6 +51,7 @@ from .pq_core import (
     pq_integer,
 )
 from .univariate import (
+    _moment_terms,
     basis_row,
     central_moment4_display,
     uni_apply,
@@ -226,30 +228,10 @@ def cmd_central_moments(args) -> int:
 
 def cmd_korovkin(args) -> int:
     tf = resolve_function(args.f)
-    sched = _schedule(args.schedule)
-    degrees = [(d, d) for d in _degrees(args.degrees)]
-    table = korovkin_experiment(tf.fn, sched, sched, degrees, args.grid)
-    rows = [
-        [
-            r.n,
-            r.m,
-            r.sup_error,
-            r.test_errors["e00"],
-            r.test_errors["e10"],
-            r.test_errors["e01"],
-            r.test_errors["e11"],
-            r.test_errors["e20"],
-            r.test_errors["e02"],
-            r.warn,
-        ]
-        for r in table
-    ]
-    _emit(
-        args,
-        ["n", "m", "sup_error", "e00", "e10", "e01", "e11", "e20", "e02", "warn"],
-        rows,
-        "korovkin",
-    )
+    table = korovkin_experiment(tf.fn, _schedule(args.schedule), _degrees(args.degrees), args.grid)
+    tests = list(table[0].test_errors)  # e00, e10, e01, e11, e20, e02
+    rows = [[r.n, r.m, r.sup_error, *r.test_errors.values(), r.warn] for r in table]
+    _emit(args, ["n", "m", "sup_error", *tests, "warn"], rows, "korovkin")
     return 0
 
 
@@ -324,10 +306,13 @@ def cmd_certify(args) -> int:
 def cmd_voronovskaja(args) -> int:
     tf = resolve_function(args.f)
     sched = _schedule(args.schedule)
+    bad = ValueError(f"--point must be 'x,y' with x and y in [0, 1], got {args.point!r}")
     try:
         x, y = (float(t) for t in args.point.split(","))
     except ValueError:
-        raise ValueError(f"bad point {args.point!r}; expected 'x,y'") from None
+        raise bad from None
+    if not (0 <= x <= 1 and 0 <= y <= 1):  # nan fails this too
+        raise bad
     degrees = _degrees(args.degrees)
     # the trace and its Richardson row need two or more increasing degrees
     if len(degrees) < 2 or degrees != sorted(set(degrees)):
@@ -363,67 +348,68 @@ def _selftest_rows(seed: int) -> tuple[list[list], bool]:
     ]
     xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
-    # exact univariate moments against the brute-force operator
+    def discrepancy(name: str, witness: str | None, detail: str):
+        """A display form checked against the oracle: its first witness, if any."""
+        detail += f"; first witness at {witness}" if witness else ""
+        add(name, witness is None, detail, informational=True)
+
+    def poly(coeffs, x):  # sum_j c_j x^j, j = 1..len(coeffs)
+        return sum(c * x ** (j + 1) for j, c in enumerate(coeffs))
+
+    # exact univariate moments against the brute-force operator, and the
+    # alternative display forms of e3 (p^{n-1} in place of p^{n-2} in the
+    # x^2 coefficient) and e4 (q^3 in place of q^2 in the x^2 coefficient)
     all_eq = True
-    stmt_e3_differs = False
-    stmt_e4_differs = False
+    witness3 = witness4 = None
     for pq in pqs:
+        p, q = pq.p, pq.q
         for n in range(1, 7):
+            alt3 = _moment_terms(3, n, pq)
+            alt3[1] *= p
+            alt4 = _moment_terms(4, n, pq)
+            alt4[1] *= (3 * p**2 + 3 * q * p + q**3) / (3 * p**2 + 3 * q * p + q**2)
             for x in xs:
-                for i in range(5):
-                    closed = uni_moment_closed(i, n, x, pq)
-                    oracle = uni_apply(monomial_1d(i), n, x, pq)
-                    all_eq &= closed == oracle
-                # alternative display form of e3 (p^{n-1} in the x^2 coefficient)
-                br = bracket_values(n, pq)
-                N = br[n]
-                b1 = br[n - 1] if n >= 1 else Fraction(0)
-                b2 = br[n - 2] if n >= 2 else Fraction(0)
-                p, q = pq.p, pq.q
-                stmt3 = (
-                    p ** (2 * n - 2) / N**2 * x
-                    + p ** (n - 1) * (2 * p + q) * q * b1 / N**2 * x**2
-                    + q**3 * b1 * b2 / N**2 * x**3
-                )
-                if stmt3 != uni_apply(monomial_1d(3), n, x, pq):
-                    stmt_e3_differs = True
-                stmt4_coeff2 = q * (3 * p**2 + 3 * q * p + q**3)  # alt form: q^3
-                proof_coeff2 = q * (3 * p**2 + 3 * q * p + q**2)
-                if stmt4_coeff2 != proof_coeff2:
-                    stmt_e4_differs = True
+                oracle = [uni_apply(monomial_1d(i), n, x, pq) for i in range(5)]
+                all_eq &= oracle == [uni_moment_closed(i, n, x, pq) for i in range(5)]
+                at = f"n={n} p={p} q={q} x={x}"
+                if witness3 is None and poly(alt3, x) != oracle[3]:
+                    witness3 = at
+                if witness4 is None and poly(alt4, x) != oracle[4]:
+                    witness4 = at
     add("uni-moments-exact-closed-form", all_eq, "e0..e4 strict rational equality")
-    add(
+    discrepancy(
         "uni-moment-e3-alt-form",
-        not stmt_e3_differs,
+        witness3,
         "an alternative display form uses p^{n-1} where the oracle-confirmed "
         "coefficient has p^{n-2}",
-        informational=True,
     )
-    add(
+    discrepancy(
         "uni-moment-e4-alt-form",
-        not stmt_e4_differs,
+        witness4,
         "an alternative display form has q^3 in the x^2 coefficient where the "
         "oracle-confirmed coefficient has q^2",
-        informational=True,
     )
 
-    # bivariate moment identities, exact
+    # bivariate moment identities, exact, and the t^2 display form with
+    # [n]_{p2,q2} in place of the denominator [m]_{p2,q2}
     all_eq = True
+    witness = None
     for pq in pqs:
         for n, m in [(1, 1), (2, 3), (4, 2), (5, 5)]:
             params = BiParams(pq, pq, n, m)
+            br = bracket_values(max(n, m), pq)
+            display = [c * br[m] / br[n] for c in _moment_terms(2, m, pq)]
             for x in xs[1:4]:
                 for y in xs[1:4]:
-                    for which in ("1", "s", "t", "st", "s2", "t2"):
-                        closed = bi_moment_closed(which, params, x, y)
-                        oracle = bi_apply_exact(monomial_2d(which), params, x, y)
-                        all_eq &= closed == oracle
+                    oracle = {w: bi_apply_exact(monomial_2d(w), params, x, y) for w in _SELECTORS}
+                    all_eq &= all(bi_moment_closed(w, params, x, y) == v for w, v in oracle.items())
+                    if witness is None and poly(display, y) != oracle["t2"]:
+                        witness = f"n={n} m={m} p2={pq.p} q2={pq.q} y={y}"
     add("bivariate-moments-exact", all_eq, "six identities, t^2 with the [m] denominator")
-    add(
+    discrepancy(
         "bivariate-t2-denominator",
-        False,
+        witness,
         "a circulating t^2 display shows [n]_{p2,q2}; the oracle confirms [m]_{p2,q2}",
-        informational=True,
     )
 
     # float partition of unity

@@ -21,7 +21,6 @@ __all__ = [
     "TargetFunction2D",
     "CORPUS",
     "resolve_function",
-    "fd_partial",
     "monomial_1d",
     "monomial_2d",
 ]
@@ -157,10 +156,12 @@ def monomial_2d(which: str) -> Callable:
     return table[which]
 
 
-def fd_partial(fn: Callable, x, y, axis: str, order: int, h: float):
+def fd_partial(fn: Callable, x, y, axis: str, order: int):
     """Central finite-difference partial of fn at (x, y): first or second
-    order along axis 'x' or 'y', with step h.  The differenced coordinate
-    is clipped to [h, 1-h] so every sample stays inside the unit square."""
+    order along axis 'x' or 'y', with step h = 1e-5.  The differenced
+    coordinate is clipped to [h, 1-h] so every sample stays inside the
+    unit square."""
+    h = 1e-5
     v = np.clip(np.asarray(x if axis == "x" else y, dtype=float), h, 1 - h)
 
     def at(t):
@@ -171,7 +172,7 @@ def fd_partial(fn: Callable, x, y, axis: str, order: int, h: float):
     return (at(v + h) - 2 * at(v) + at(v - h)) / (h * h)
 
 
-def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
+def from_expression(text: str) -> TargetFunction2D:
     """Wrap a parsed expression as a target function.
 
     Partials come from central finite differences (clipped to stay inside
@@ -187,7 +188,7 @@ def from_expression(text: str, fd_step: float = 1e-5) -> TargetFunction2D:
     fn.__name__ = name  # errors about fn can then say which function
 
     def partial(axis, order):
-        return lambda x, y: fd_partial(fn, x, y, axis, order, fd_step)
+        return lambda x, y: fd_partial(fn, x, y, axis, order)
 
     return TargetFunction2D(
         name=name,

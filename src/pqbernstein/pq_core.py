@@ -37,9 +37,7 @@ __all__ = [
     "is_exact",
     "pq_integer",
     "bracket_values",
-    "pq_factorial",
     "pq_factorials",
-    "pq_binomial",
     "pq_binomials",
     "log_factorials",
     "pq_binomial_expansion_check",
@@ -150,11 +148,6 @@ def pq_factorials(n: int, pq: PQPair) -> list:
     return out
 
 
-def pq_factorial(n: int, pq: PQPair) -> Number:
-    """[n]! = [n][n-1]...[1], with [0]! = 1."""
-    return pq_factorials(n, pq)[-1]
-
-
 def log_factorials(n: int, pq: PQPair) -> list[float]:
     """Cumulative log-factorials of the reduced brackets [i]_r >= 1:
     entry i is log([i]_r!), r = q/p.  Float path only."""
@@ -193,29 +186,15 @@ def pq_binomials(n: int, pq: PQPair) -> list:
     return out
 
 
-def pq_binomial(n: int, k: int, pq: PQPair) -> Number:
-    """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!): entry k of
-    ``pq_binomials(n, pq)``."""
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    return pq_binomials(n, pq)[k]
-
-
 def pq_binomial_expansion_check(
-    n: int,
-    a: Number,
-    b: Number,
-    x: Number,
-    y: Number,
-    pq: PQPair,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
+    n: int, a: Number, b: Number, x: Number, y: Number, pq: PQPair
 ) -> bool:
     """Check the (p,q)-binomial expansion of (ax + by)^n against its
     product form (ax + by)(p ax + q by)...(p^{n-1} ax + q^{n-1} by).
 
-    Exact inputs are compared strictly; floats within tolerance.  Test
-    utility, n is expected to stay small (<= 20).
+    Exact inputs are compared strictly; floats within a relative
+    tolerance of 1e-12 (absolute 1e-14).  Test utility, n is expected to
+    stay small (<= 20).
     """
     if n > 20:
         raise ValueError("expansion check is a test utility; use n <= 20")
@@ -241,5 +220,5 @@ def pq_binomial_expansion_check(
 
     if exact:
         return lhs == rhs
-    return math.isclose(lhs, rhs, rel_tol=rel_tol, abs_tol=abs_tol)
+    return math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-14)
 

@@ -46,7 +46,6 @@ from .pq_core import (
 Number = Union[int, float, Fraction]
 
 __all__ = [
-    "node",
     "nodes",
     "basis_row",
     "basis_row_exact",
@@ -55,13 +54,6 @@ __all__ = [
     "uni_central_moment",
     "central_moment4_display",
 ]
-
-
-def node(n: int, k: int, pq: PQPair) -> Number:
-    """Sample node k of degree n; lies in [0,1]."""
-    if not 0 <= k <= n or n < 1:
-        raise ValueError(f"require 1 <= n and 0 <= k <= n, got n={n}, k={k}")
-    return nodes(n, pq)[k]
 
 
 def nodes(n: int, pq: PQPair) -> list[Fraction] | np.ndarray:

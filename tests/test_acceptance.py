@@ -130,11 +130,9 @@ def test_criterion_3_partition_of_unity_and_positivity():
 def test_criterion_4_korovkin_convergence():
     t0 = time.monotonic()
     sched = SCHEDULES["i"]
-    degrees = [(n, n) for n in (8, 16, 32, 64)]
-    quad_rows = korovkin_experiment(CORPUS["quad"].fn, sched, sched, degrees, grid=50)
-    ripple_rows = korovkin_experiment(
-        CORPUS["ripple"].fn, sched, sched, degrees, grid=50
-    )
+    degrees = (8, 16, 32, 64)
+    quad_rows = korovkin_experiment(CORPUS["quad"].fn, sched, degrees, grid=50)
+    ripple_rows = korovkin_experiment(CORPUS["ripple"].fn, sched, degrees, grid=50)
     ok = True
     for rows in (quad_rows, ripple_rows):
         errs = [r.sup_error for r in rows]

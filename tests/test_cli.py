@@ -25,8 +25,8 @@ from pqbernstein.pq_core import (
     PQPair,
     bracket_values,
     log_factorials,
-    pq_binomial,
-    pq_factorial,
+    pq_binomials,
+    pq_factorials,
     pq_integer,
 )
 
@@ -243,6 +243,7 @@ class TestPqTable:
         # the literal per-k formulas: [k]! as the product [1][2]...[k], and
         # exp(k(n-k) log p + lf[n] - lf[k] - lf[n-k]) for the binomial
         lf = log_factorials(n, pq)
+        facts, binoms = pq_factorials(n, pq), pq_binomials(n, pq)
         rows = []
         for k in range(n + 1):
             fact = 1.0
@@ -253,7 +254,7 @@ class TestPqTable:
                 if 0 < k < n
                 else 1.0
             )
-            assert fact == pq_factorial(k, pq) and binom == pq_binomial(n, k, pq)
+            assert fact == facts[k] and binom == binoms[k]
             rows.append([k, pq_integer(k, pq), fact, binom])
         return rows
 
@@ -268,9 +269,25 @@ class TestPqTable:
             ]
 
 
+def test_selftest_discrepancies_name_their_first_witness():
+    # each display form is evaluated against the exact oracle; at p = 1 the
+    # e3 form agrees (p^{n-1} = p^{n-2}), and (n, m) = (1, 1) gives no t^2 witness
+    rows, ok = cli._selftest_rows(0)
+    detail = {name: d for name, status, d in rows if status == "documented-discrepancy"}
+    assert ok and {name: d.rsplit("; ", 1)[1] for name, d in detail.items()} == {
+        "uni-moment-e3-alt-form": "first witness at n=2 p=3/4 q=1/2 x=1/4",
+        "uni-moment-e4-alt-form": "first witness at n=2 p=1 q=1/2 x=1/4",
+        "bivariate-t2-denominator": "first witness at n=2 m=3 p2=1 q2=1/2 y=1/4",
+    }
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         bad_degrees = (["korovkin", "--f", "quad", "--degrees", "0"], ["certify", "--degrees", "4,x"])
+        bad_points = tuple(
+            ["voronovskaja", "--f", "quad", "--point", point]
+            for point in ("inf,0.5", "nan,0.5", "0.5,-inf", "1.5,0.5", "0.5,-0.1", "0.5", "a,b")
+        )
         for argv in (
             ["pq", "--n", "6", "--p", "0.5", "--q", "0.9"],
             ["pq", "--n", "-3", "--p", "0.9", "--q", "0.5"],
@@ -290,6 +307,7 @@ class TestExitCodes:
             ["central-moments", "--n", "0", "--p", "0.9", "--q", "0.6"],
             ["central-moments", "--n", "-2", "--p", "0.9", "--q", "0.6"],
             *bad_degrees,
+            *bad_points,
             ["nonsense"],
         ):
             res = run_cli(argv)
@@ -301,6 +319,8 @@ class TestExitCodes:
                 assert res.stderr.count("\n") == 1, (argv, res.stderr)
             if argv in bad_degrees:  # the line names the option
                 assert "--degrees" in res.stderr, (argv, res.stderr)
+            if argv in bad_points:
+                assert "--point" in res.stderr, (argv, res.stderr)
         # valid pairs whose printed raw-pair values leave the double range:
         # the one line names the options, the column and the quantity
         tiny = ["--p", "1e-300", "--q", "1e-301"]

@@ -12,9 +12,9 @@ from pqbernstein.pq_core import (
     FloatRangeError,
     PQPair,
     bracket_values,
-    pq_binomial,
     pq_binomial_expansion_check,
-    pq_factorial,
+    pq_binomials,
+    pq_factorials,
     pq_integer,
 )
 from pqbernstein.univariate import basis_row_exact
@@ -115,9 +115,11 @@ class TestBracketTables:
     def test_factorial_is_running_product(self):
         pq = PQPair(Fraction(9, 10), Fraction(3, 5))
         acc = Fraction(1)
+        facts = pq_factorials(8, pq)
+        assert facts[0] == 1
         for n in range(1, 9):
             acc *= pq_integer(n, pq)
-            assert pq_factorial(n, pq) == acc
+            assert facts[n] == acc
 
     def test_reduced_pair_gives_the_r_recurrence_bit_for_bit(self):
         # at (1, r) the recurrence is [i]_r = r [i-1]_r + 1, the form the
@@ -133,45 +135,46 @@ class TestBracketTables:
     def test_float_factorial_names_the_first_zero_bracket(self):
         # [3] = p^2 + pq + q^2 underflows for p = 1e-300
         pq = PQPair(1e-300, 1e-301)
-        assert pq_factorial(2, pq) == 1e-300 + 1e-301
+        assert pq_factorials(2, pq)[-1] == 1e-300 + 1e-301
         with pytest.raises(FloatRangeError, match=r"^\[3\]_\{p,q\} underflows to 0$"):
-            pq_factorial(8, pq)
+            pq_factorials(8, pq)
 
 
 class TestBinomial:
     def test_boundary_cases(self):
         pq = PQPair(Fraction(3, 4), Fraction(1, 2))
         for n in range(0, 8):
-            assert pq_binomial(n, 0, pq) == 1
-            assert pq_binomial(n, n, pq) == 1
+            row = pq_binomials(n, pq)
+            assert len(row) == n + 1
+            assert row[0] == 1
+            assert row[n] == 1
         with pytest.raises(ValueError):
-            pq_binomial(5, 6, pq)
+            pq_binomials(-1, pq)
         with pytest.raises(ValueError):
-            pq_binomial(5, -1, pq)
+            pq_factorials(-1, pq)
 
     def test_factorial_ratio_definition(self):
         pq = PQPair(Fraction(9, 10), Fraction(3, 5))
+        fact = pq_factorials(11, pq)
         for n in range(0, 12):
+            row = pq_binomials(n, pq)
             for k in range(0, n + 1):
-                expected = pq_factorial(n, pq) / (
-                    pq_factorial(k, pq) * pq_factorial(n - k, pq)
-                )
-                assert pq_binomial(n, k, pq) == expected
+                assert row[k] == fact[n] / (fact[k] * fact[n - k])
 
     @given(pq=pair_strategy, n=st.integers(min_value=0, max_value=60))
     @settings(max_examples=40, deadline=None)
     def test_symmetry(self, pq, n):
+        row = pq_binomials(n, pq)
         for k in {0, min(1, n), n // 3, n // 2, n}:
-            assert pq_binomial(n, k, pq) == pq_binomial(n, n - k, pq)
+            assert row[k] == row[n - k]
 
     def test_float_binomial_accuracy(self):
         pq_exact = PQPair(Fraction(9, 10), Fraction(3, 5))
         pq_float = PQPair(0.9, 0.6)
         for n in (5, 20, 50):
+            exact_row, float_row = pq_binomials(n, pq_exact), pq_binomials(n, pq_float)
             for k in range(0, n + 1, max(1, n // 7)):
-                exact = float(pq_binomial(n, k, pq_exact))
-                approx = pq_binomial(n, k, pq_float)
-                assert math.isclose(approx, exact, rel_tol=1e-11)
+                assert math.isclose(float_row[k], float(exact_row[k]), rel_tol=1e-11)
 
     def test_float_binomial_and_factorial_accuracy_at_p_below_one(self):
         # the binomial is p^(k(n-k)) [n over k]_r; both it and the factorial
@@ -179,11 +182,11 @@ class TestBinomial:
         pq_exact = PQPair(Fraction(3, 4), Fraction(1, 2))
         pq_float = PQPair(0.75, 0.5)
         for n in (7, 30, 56):
+            exact_row, float_row = pq_binomials(n, pq_exact), pq_binomials(n, pq_float)
             for k in range(n + 1):
-                exact = float(pq_binomial(n, k, pq_exact))
-                assert math.isclose(pq_binomial(n, k, pq_float), exact, rel_tol=1e-12)
-            exact = float(pq_factorial(n, pq_exact))
-            assert math.isclose(pq_factorial(n, pq_float), exact, rel_tol=1e-12)
+                assert math.isclose(float_row[k], float(exact_row[k]), rel_tol=1e-12)
+            exact = float(pq_factorials(n, pq_exact)[-1])
+            assert math.isclose(pq_factorials(n, pq_float)[-1], exact, rel_tol=1e-12)
 
 
 class TestFallingProduct:

@@ -13,7 +13,6 @@ from pqbernstein.univariate import (
     basis_row,
     basis_row_exact,
     central_moment4_display,
-    node,
     nodes,
     uni_apply,
     uni_central_moment,
@@ -32,8 +31,10 @@ class TestNodes:
     def test_endpoints(self):
         pq = PQPair(Fraction(3, 4), Fraction(1, 2))
         for n in range(1, 8):
-            assert node(n, 0, pq) == 0
-            assert node(n, n, pq) == 1
+            ts = nodes(n, pq)
+            assert len(ts) == n + 1
+            assert ts[0] == 0
+            assert ts[n] == 1
 
     def test_strictly_increasing(self):
         pq = PQPair(Fraction(9, 10), Fraction(3, 5))
@@ -44,8 +45,7 @@ class TestNodes:
     def test_nodes_stay_in_unit_interval(self):
         pq = PQPair(Fraction(3, 4), Fraction(1, 2))
         for n in (3, 9):
-            for k in range(n + 1):
-                assert 0 <= node(n, k, pq) <= 1
+            assert all(0 <= t <= 1 for t in nodes(n, pq))
 
 
 class TestBasis:
