@@ -81,11 +81,6 @@ class ParamSchedule:
         p, q = self.rule(n)
         return PQPair(p, q)
 
-    def empirical_limits(self, n: int) -> tuple[float, float]:
-        """(p_n^n, q_n^n) at a given degree, for limit diagnostics."""
-        pq = self.pair(n)
-        return pq.p**n, pq.q**n
-
 
 SCHEDULES: dict[str, ParamSchedule] = {
     "i": ParamSchedule(
@@ -342,7 +337,7 @@ def korovkin_experiment(
         pq = schedule.pair(n)
         params = BiParams(pq, pq, n, n)
         errs = {e: sup_error(monomial_2d(w), params) for e, w in zip(_KOROVKIN_NAMES, _SELECTORS)}
-        far = abs(schedule.empirical_limits(n)[0] - schedule.declared_a) > 0.5
+        far = abs(pq.p**n - schedule.declared_a) > 0.5
         warn = "schedule far from declared limit" if far else ""
         rows.append(
             KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs, warn=warn)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bivariate import (
+    _N_MIN,
     _SELECTORS,
     BiParams,
     SCHEDULES,
@@ -149,12 +150,13 @@ def _schedule(name: str):
 
 
 def _degrees(text: str) -> list[int]:
-    bad = ValueError(f"--degrees must be a comma-separated list of positive integers, got {text!r}")
+    """The degrees of a schedule-based command; every schedule starts at _N_MIN."""
+    bad = ValueError(f"--degrees must be a comma-separated list of integers >= {_N_MIN}, got {text!r}")
     try:
         ds = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise bad from None
-    if not ds or any(d < 1 for d in ds):
+    if not ds or any(d < _N_MIN for d in ds):
         raise bad
     return ds
 
@@ -250,47 +252,25 @@ def cmd_certify(args) -> int:
     # its hypothesis is a usage error, not a sweep skip
     if skipped and args.theorem != "all" and args.f != "all":
         raise ValueError(f"{skipped[0][0]}: {skipped[0][2]}")
-    rows = []
-    for c in certs:
-        rows.append(
-            [
-                c.theorem_id,
-                c.f_name,
-                c.schedule,
-                c.n,
-                c.m,
-                "pass" if c.passed else "FAIL",
-                c.lhs,
-                c.rhs,
-                c.rhs_conservative,
-                c.margin,
-                int(c.pointwise_ok),
-                int(c.pointwise_ok_conservative),
-                c.notes,
-            ]
-        )
+    table = (  # certify's columns in order, each with its cell for one certificate
+        ("theorem", lambda c: c.theorem_id),
+        ("function", lambda c: c.f_name),
+        ("schedule", lambda c: c.schedule),
+        ("n", lambda c: c.n),
+        ("m", lambda c: c.m),
+        ("status", lambda c: "pass" if c.passed else "FAIL"),
+        ("lhs_sup", lambda c: c.lhs),
+        ("rhs_uniform", lambda c: c.rhs),
+        ("rhs_conservative", lambda c: c.rhs_conservative),
+        ("margin", lambda c: c.margin),
+        ("pointwise_ok", lambda c: int(c.pointwise_ok)),
+        ("pointwise_ok_conservative", lambda c: int(c.passed)),
+        ("notes", lambda c: c.notes),
+    )
+    rows = [[cell(c) for _, cell in table] for c in certs]
     for theorem, fname, reason in skipped:
         rows.append([theorem, fname, "", "", "", "skipped-hypothesis", "", "", "", "", "", "", reason])
-    _emit(
-        args,
-        [
-            "theorem",
-            "function",
-            "schedule",
-            "n",
-            "m",
-            "status",
-            "lhs_sup",
-            "rhs_uniform",
-            "rhs_conservative",
-            "margin",
-            "pointwise_ok",
-            "pointwise_ok_conservative",
-            "notes",
-        ],
-        rows,
-        "certify",
-    )
+    _emit(args, [column for column, _ in table], rows, "certify")
     failures = [c for c in certs if not c.passed]
     if failures:
         c = failures[0]

@@ -315,10 +315,8 @@ def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
             )
         return sp
     if theorem_id == "c1":
-        if not tf.c1:
-            raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
         if tf.fx is None or tf.fy is None:
-            raise HypothesisError("c1-smoothness", f"{tf.name} gives no first partials")
+            raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
         return _sup_partial_norms(tf)
     return None
 
@@ -332,9 +330,11 @@ class BoundCertificate:
 
     The uniform columns ``rhs`` and ``rhs_conservative`` are the grid
     maxima of the pointwise bounds, which is each bound at the sup
-    deltas.  ``passed`` is judged on the conservative column (omega at
-    2*delta for the modulus theorems, the weaker a/2 exponent for the
-    Lipschitz theorem), node by node; the uniform check then follows.
+    deltas.  ``passed`` is the conservative pointwise check: lhs against
+    the conservative bound (omega at 2*delta for the modulus theorems,
+    the weaker a/2 exponent for the Lipschitz theorem), node by node; the
+    uniform check then follows.  It fills both the ``status`` and the
+    ``pointwise_ok_conservative`` columns of ``certify``.
     """
 
     theorem_id: str
@@ -342,13 +342,11 @@ class BoundCertificate:
     schedule: str
     n: int
     m: int
-    grid: int
     lhs: float  # sup over the grid of |Bf - f|
     rhs: float  # uniform bound, primary form
     rhs_conservative: float
     margin: float  # rhs_conservative - lhs
     pointwise_ok: bool
-    pointwise_ok_conservative: bool
     passed: bool
     notes: str = ""
 
@@ -358,7 +356,6 @@ class _Gap(NamedTuple):
     function at one degree pair: what every theorem's certificate shares."""
 
     params: BiParams
-    grid: int
     err: np.ndarray  # err[i, j] = |Bf - f| at (xs[i], xs[j])
     dn2: np.ndarray  # d_n^2 over the x grid, a column
     dm2: np.ndarray  # d_m^2 over the y grid, a row
@@ -369,7 +366,7 @@ def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
     xs = np.linspace(0.0, 1.0, grid + 1)
     dn2 = uni_central_moment(2, params.n, xs, params.pq1)
     dm2 = uni_central_moment(2, params.m, xs, params.pq2)
-    return _Gap(params, grid, err, dn2[:, None], dm2[None, :])
+    return _Gap(params, err, dn2[:, None], dm2[None, :])
 
 
 def _bounds(
@@ -420,22 +417,19 @@ def _certificate(
     sharp, cons = _bounds(theorem_id, constants, table, gap.dn2, gap.dm2)
     lhs = float(np.max(gap.err))
     rhs_cons = float(np.max(cons))
-    # lhs <= cons node by node implies lhs <= rhs_cons, its grid maximum
-    pointwise_cons = bool(np.all(gap.err <= cons + PASS_SLACK))
     return BoundCertificate(
         theorem_id=theorem_id,
         f_name=tf.name,
         schedule=schedule_name,
         n=gap.params.n,
         m=gap.params.m,
-        grid=gap.grid,
         lhs=lhs,
         rhs=float(np.max(sharp)),
         rhs_conservative=rhs_cons,
         margin=rhs_cons - lhs,
         pointwise_ok=bool(np.all(gap.err <= sharp + PASS_SLACK)),
-        pointwise_ok_conservative=pointwise_cons,
-        passed=pointwise_cons,
+        # lhs <= cons node by node implies lhs <= rhs_cons, its grid maximum
+        passed=bool(np.all(gap.err <= cons + PASS_SLACK)),
     )
 
 

@@ -2,14 +2,16 @@
 
 Each corpus entry carries whatever the error-bound machinery needs to
 check hypotheses honestly: analytic partials where the function is
-smooth, a Lipschitz-class declaration where one is claimed, and
-smoothness flags.  Expression-defined functions (from the CLI parser)
-get finite-difference partials only.
+smooth, and a Lipschitz-class declaration where one is claimed.  A
+function is C^1 for the certificates exactly when it gives analytic
+first partials f_x and f_y.  Expression-defined functions (from the CLI
+parser) get finite-difference second partials only: they serve the
+Voronovskaja trace, and the C^1 certificate refuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +44,11 @@ class LipschitzSpec:
 
 @dataclass(frozen=True)
 class TargetFunction2D:
-    """An evaluable scalar function on [0,1]^2 with optional metadata."""
+    """An evaluable scalar function on [0,1]^2 with optional metadata.
+
+    Giving both first partials ``fx`` and ``fy`` registers the function
+    as C^1; the second partials ``fxx`` and ``fyy`` serve the
+    Voronovskaja trace."""
 
     name: str
     fn: Callable
@@ -51,7 +57,6 @@ class TargetFunction2D:
     fxx: Optional[Callable] = None
     fyy: Optional[Callable] = None
     lipschitz: Optional[LipschitzSpec] = None
-    c1: bool = False
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -78,7 +83,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fxx=_zero,
             fyy=_zero,
             lipschitz=LipschitzSpec(1.0, 1.0, 1.0),
-            c1=True,
         ),
         TargetFunction2D(
             name="linx",
@@ -87,7 +91,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fy=_zero,
             fxx=_zero,
             fyy=_zero,
-            c1=True,
         ),
         TargetFunction2D(
             name="liny",
@@ -96,7 +99,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fy=lambda x, y: 1.0,
             fxx=_zero,
             fyy=_zero,
-            c1=True,
         ),
         TargetFunction2D(
             name="prodxy",
@@ -105,7 +107,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fy=lambda x, y: x,
             fxx=_zero,
             fyy=_zero,
-            c1=True,
         ),
         TargetFunction2D(
             name="quad",
@@ -114,7 +115,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fy=lambda x, y: 2 * y,
             fxx=lambda x, y: 2.0,
             fyy=lambda x, y: 2.0,
-            c1=True,
         ),
         TargetFunction2D(
             name="ripple",
@@ -123,7 +123,6 @@ CORPUS: dict[str, TargetFunction2D] = {
             fy=lambda x, y: _PI * np.sin(_PI * x) * np.cos(_PI * y),
             fxx=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
             fyy=lambda x, y: -_PI * _PI * np.sin(_PI * x) * np.sin(_PI * y),
-            c1=True,
         ),
         TargetFunction2D(
             name="vee",
@@ -156,28 +155,26 @@ def monomial_2d(which: str) -> Callable:
     return table[which]
 
 
-def fd_partial(fn: Callable, x, y, axis: str, order: int):
-    """Central finite-difference partial of fn at (x, y): first or second
-    order along axis 'x' or 'y', with step h = 1e-5.  The differenced
-    coordinate is clipped to [h, 1-h] so every sample stays inside the
-    unit square."""
+def fd_partial(fn: Callable, x, y, axis: str):
+    """Central finite-difference second partial of fn at (x, y) along
+    axis 'x' or 'y', with step h = 1e-5.  The differenced coordinate is
+    clipped to [h, 1-h] so every sample stays inside the unit square."""
     h = 1e-5
     v = np.clip(np.asarray(x if axis == "x" else y, dtype=float), h, 1 - h)
 
     def at(t):
         return fn(t, y) if axis == "x" else fn(x, t)
 
-    if order == 1:
-        return (at(v + h) - at(v - h)) / (2 * h)
     return (at(v + h) - 2 * at(v) + at(v - h)) / (h * h)
 
 
 def from_expression(text: str) -> TargetFunction2D:
     """Wrap a parsed expression as a target function.
 
-    Partials come from central finite differences (clipped to stay inside
-    the unit square), so expression functions are usable in the C^1 and
-    Voronovskaja machinery with widened tolerances only.
+    Second partials come from central finite differences (clipped to stay
+    inside the unit square), so expression functions serve the
+    Voronovskaja trace with widened tolerances only.  They give no first
+    partials, so they are not C^1 for the certificates.
     """
     ast = parse_expr(text)
 
@@ -187,17 +184,10 @@ def from_expression(text: str) -> TargetFunction2D:
     name = f"expr:{text}"
     fn.__name__ = name  # errors about fn can then say which function
 
-    def partial(axis, order):
-        return lambda x, y: fd_partial(fn, x, y, axis, order)
+    def partial(axis):
+        return lambda x, y: fd_partial(fn, x, y, axis)
 
-    return TargetFunction2D(
-        name=name,
-        fn=fn,
-        fx=partial("x", 1),
-        fy=partial("y", 1),
-        fxx=partial("x", 2),
-        fyy=partial("y", 2),
-    )
+    return TargetFunction2D(name=name, fn=fn, fxx=partial("x"), fyy=partial("y"))
 
 
 def resolve_function(text: str) -> TargetFunction2D:

