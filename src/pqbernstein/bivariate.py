@@ -67,13 +67,11 @@ _N_MIN = 2  # the lowest degree of every schedule
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """A rule n -> (p_n, q_n) with its declared limits a = lim p_n^n,
-    b = lim q_n^n (b is diagnostic only; no limit formula uses it)."""
+    """A rule n -> (p_n, q_n) with its declared limit a = lim p_n^n."""
 
     name: str
     rule: Callable[[int], tuple[float, float]]
     declared_a: float
-    declared_b: float
 
     def pair(self, n: int) -> PQPair:
         if n < _N_MIN:
@@ -87,112 +85,49 @@ SCHEDULES: dict[str, ParamSchedule] = {
         name="i",
         rule=lambda n: (n / (n + 1), 1 - 1 / n),
         declared_a=math.exp(-1),
-        declared_b=math.exp(-1),
     ),
     "ii": ParamSchedule(
         name="ii",
         rule=lambda n: (math.exp(-1 / n), math.exp(-2 / n)),
         declared_a=math.exp(-1),
-        declared_b=math.exp(-2),
     ),
     "iii": ParamSchedule(
         name="iii",
         rule=lambda n: (1.0, 1 - 1 / n),
         declared_a=1.0,
-        declared_b=math.exp(-1),
     ),
 }
+
+
+_BLOCK_ROWS = 32  # node rows of f that bi_apply evaluates at a time
 
 
 def bi_apply(f: Callable, params: BiParams, x: float, y: float) -> float:
     """Double sum of basis times f at the tensor nodes (float path).
 
-    Inner index j, outer k.  Each inner sum sum_j wy[j] f(s_k, t_j) and
-    the outer sum sum_k wx[k] inner_k is correctly rounded from its
-    rounded products, so the result depends neither on summation order
-    nor on BLAS.  f is evaluated, and checked finite, at every node, in
-    blocks of _BLOCK_ROWS node rows taken in row order, so memory stays
-    bounded whatever the degrees.  Terms with a zero weight add nothing
-    to an exact sum and are skipped: of each block only the rows and
-    columns with a nonzero weight are summed.
+    Inner index j, outer k.  f is evaluated, and checked finite, at every
+    node, in blocks of _BLOCK_ROWS node rows taken in row order, so memory
+    stays bounded whatever the degrees.  Each inner sum
+    sum_j wy[j] f(s_k, t_j) is numpy's pairwise sum along its contiguous
+    row, and the outer sum sum_k wx[k] inner_k is math.fsum of the rounded
+    products.  No BLAS routine is called, and each row's sum depends on
+    that row alone, so the result depends neither on the BLAS thread count
+    nor on the block size.  The result is within
+    (n + m + 2) u sum_jk |wx[k] wy[j] f(s_k, t_j)| of the exact sum of
+    the rounded weights times f (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., 2002, sec. 4.2).  The log-domain basis
+    weights themselves carry relative errors up to about 1e-10 at
+    n = 2048, so an exact accumulator would not show in the result.
     """
     wx = basis_row(params.n, float(x), params.pq1)
     wy = basis_row(params.m, float(y), params.pq2)
     sx = nodes(params.n, params.pq1.floats())
     ty = nodes(params.m, params.pq2.floats())
-    cols = np.flatnonzero(wy)
-    wy = wy[cols]
-    inner = []
-    for start in range(0, sx.size, _BLOCK_ROWS):
-        rows = np.flatnonzero(wx[start : start + _BLOCK_ROWS])
-        A = _eval_grid(f, sx[start : start + _BLOCK_ROWS], ty)[np.ix_(rows, cols)]
-        A *= wy
-        inner.append(_exact_row_sums(A))
-    return float(_exact_row_sums((wx[wx != 0] * np.concatenate(inner))[None, :])[0])
-
-
-# Exact row sums.  A finite x = mant * 2**e (np.frexp) is the integer
-# mant * 2**(e + 1073) times 2**-1126, the weight of the lowest significand
-# bit of the smallest subnormal 2**-1074 = 2**52 * 2**-1126.  So a row's
-# exact sum is an integer T times 2**-1126, held in _DIGITS 32-bit digits:
-# an entry's lowest bit sits at most at bit 2097, in digit 65, and its
-# 53-bit significand reaches two digits further.
-_LSB_SHIFT = 1126
-_DIGITS = 68
-_BLOCK_ROWS = 32
-# bins[j] = 2**32 * hi[j] + lo[j] with 0 <= lo[j] < 2**32 and
-# -2**31 <= hi[j] < 2**31; hi[j] is stored as hi[j] + 2**31, and this
-# constant takes the 2**31 offsets out again
-_BIAS = sum(1 << (32 * j + 31) for j in range(1, _DIGITS + 1))
-
-
-def _exact_row_sums(A: np.ndarray) -> np.ndarray:
-    """Correctly rounded (round-half-even) exact sum of each row of a
-    finite 2-D float64 array, which it overwrites: bit for bit what
-    ``math.fsum`` returns on the row.
-
-    Each entry is cut into three signed 32-bit digits at its place in T;
-    np.bincount adds the digits of each row into float64 bins, exactly
-    while a row has fewer than 2**21 entries.  Each row's int64 bins then
-    become one Python int, their low and high 32-bit halves read as two
-    little-endian unsigned integers, and that int, divided by 2**1126,
-    rounds once (int true division is correctly rounded).  The digits
-    are cut in A's storage and one more buffer: in bi_apply's block loop,
-    every array of block size allocated afresh costs page faults.
-    """
-    rows = A.shape[0]
-    size = rows * _DIGITS
-    v, e = np.frexp(A, out=(A, None))
-    e += _LSB_SHIFT - 53  # position of the lowest significand bit in T
-    at = ((e >> 5) + np.arange(0, size, _DIGITS)[:, None]).ravel()
-    # in units of 2**(32 * (e >> 5) + 64 - 1126) an entry lies in
-    # (-2**20, 2**20); its integer part is the top digit, and its fraction,
-    # scaled by 2**32 twice, gives the other two (all exact, signs kept)
-    e &= 31
-    e -= 11
-    np.ldexp(v, e, out=v)
-    del e  # before the digit buffer is allocated
-    bins = np.zeros(size)
-    digit = np.empty_like(v)
-    for place in (2, 1):  # the top digit goes two bins up, the middle one up
-        np.trunc(v, out=digit)
-        v -= digit
-        v *= 2.0**32
-        bins[place:] += np.bincount(at, digit.ravel(), size)[: size - place]
-    bins += np.bincount(at, v.ravel(), size)
-    T = bins.astype(np.int64)
-    low = (T & 0xFFFFFFFF).astype("<u4").tobytes()
-    high = ((T >> 32) + 2**31).astype("<u4").tobytes()
-    width = 4 * _DIGITS
-    scale = 1 << _LSB_SHIFT
-    return np.array([
-        (
-            int.from_bytes(low[i : i + width], "little")
-            + (int.from_bytes(high[i : i + width], "little") << 32)
-            - _BIAS
-        ) / scale
-        for i in range(0, rows * width, width)
+    inner = np.concatenate([
+        (_eval_grid(f, sx[start : start + _BLOCK_ROWS], ty) * wy).sum(axis=1)
+        for start in range(0, sx.size, _BLOCK_ROWS)
     ])
+    return math.fsum((wx * inner).tolist())
 
 
 def bi_apply_exact(f: Callable, params: BiParams, x: Fraction, y: Fraction) -> Fraction:
@@ -300,7 +235,6 @@ class KorovkinRow:
     m: int
     sup_error: float
     test_errors: dict[str, float] = field(default_factory=dict)
-    warn: str = ""
 
 
 def _check_grid(grid: int) -> None:
@@ -325,9 +259,6 @@ def korovkin_experiment(
     """Sup-error table for f alongside the six Korovkin monomials
     e_ij(x, y) = x^i y^j, 0 <= i+j <= 2, at n = m = each degree with the
     schedule's pair on both axes.
-
-    A row is flagged when the schedule's empirical limit has visibly
-    stalled (degenerate schedule diagnostics), never raised.
     """
     def sup_error(g: Callable, params: BiParams) -> float:
         return float(np.max(abs_error_grid(g, params, grid)))
@@ -337,9 +268,5 @@ def korovkin_experiment(
         pq = schedule.pair(n)
         params = BiParams(pq, pq, n, n)
         errs = {e: sup_error(monomial_2d(w), params) for e, w in zip(_KOROVKIN_NAMES, _SELECTORS)}
-        far = abs(pq.p**n - schedule.declared_a) > 0.5
-        warn = "schedule far from declared limit" if far else ""
-        rows.append(
-            KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs, warn=warn)
-        )
+        rows.append(KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs))
     return rows

@@ -232,8 +232,8 @@ def cmd_korovkin(args) -> int:
     tf = resolve_function(args.f)
     table = korovkin_experiment(tf.fn, _schedule(args.schedule), _degrees(args.degrees), args.grid)
     tests = list(table[0].test_errors)  # e00, e10, e01, e11, e20, e02
-    rows = [[r.n, r.m, r.sup_error, *r.test_errors.values(), r.warn] for r in table]
-    _emit(args, ["n", "m", "sup_error", *tests, "warn"], rows, "korovkin")
+    rows = [[r.n, r.m, r.sup_error, *r.test_errors.values()] for r in table]
+    _emit(args, ["n", "m", "sup_error", *tests], rows, "korovkin")
     return 0
 
 
@@ -269,7 +269,8 @@ def cmd_certify(args) -> int:
     )
     rows = [[cell(c) for _, cell in table] for c in certs]
     for theorem, fname, reason in skipped:
-        rows.append([theorem, fname, "", "", "", "skipped-hypothesis", "", "", "", "", "", "", reason])
+        cells = dict(theorem=theorem, function=fname, status="skipped-hypothesis", notes=reason)
+        rows.append([cells.get(column, "") for column, _ in table])
     _emit(args, [column for column, _ in table], rows, "certify")
     failures = [c for c in certs if not c.passed]
     if failures:

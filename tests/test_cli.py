@@ -59,8 +59,8 @@ SUBCOMMANDS = {
 }
 
 
-def run_cli(args, **kw):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_cli(args, env=None, **kw):
+    env = {**os.environ, **(env or {}), "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-m", "pqbernstein.cli", *args],
         capture_output=True,
@@ -104,6 +104,16 @@ def test_json_mirror_matches_csv(name):
     assert doc["columns"] == header
     n_csv_rows = len([l for l in csv_res.stdout.split("\n")[1:] if l])
     assert len(doc["rows"]) == n_csv_rows
+
+
+def test_voronovskaja_bytes_do_not_depend_on_the_blas_thread_count():
+    argv = ["voronovskaja", "--f", "ripple", "--degrees", "16,64,256,1024", "--point", "0.3,0.6"]
+    outs = []
+    for threads in ("1", "2"):
+        res = run_cli(argv, env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_out_file_written(tmp_path):
@@ -398,6 +408,19 @@ class TestExitCodes:
         )
         assert res.returncode == 2
         assert "c1" in res.stderr
+
+    def test_skipped_hypothesis_rows_fill_their_columns(self):
+        res = run_cli(["certify", "--f", "vee", "--schedule", "i", "--degrees", "4"])
+        assert res.returncode == 0, res.stderr
+        header, *rows = csv.reader(io.StringIO(res.stdout))
+        assert all(len(r) == len(header) for r in rows)
+        skips = [dict(zip(header, r)) for r in rows if "skipped-hypothesis" in r]
+        assert sorted(row["theorem"] for row in skips) == ["c1", "lipschitz"]
+        empty = set(header) - {"theorem", "function", "status", "notes"}
+        for row in skips:
+            assert row["function"] == "vee" and row["status"] == "skipped-hypothesis"
+            assert row["notes"].startswith("hypothesis '") and " violated: vee " in row["notes"]
+            assert all(row[column] == "" for column in empty)
 
     def test_full_certify_run_passes(self):
         res = run_cli(

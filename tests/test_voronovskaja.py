@@ -4,9 +4,10 @@ import pytest
 
 from pqbernstein.bivariate import SCHEDULES, BiParams, bi_apply
 from pqbernstein.functions import CORPUS, from_expression
-from pqbernstein.pq_core import bracket_values
+from pqbernstein.pq_core import bracket_values, pq_integer
 from pqbernstein.univariate import uni_apply
 from pqbernstein.voronovskaja import (
+    DEFAULT_DEGREES,
     AsymptoticTrace,
     MissingDerivativesError,
     richardson_extrapolate,
@@ -76,6 +77,23 @@ class TestVoronovskajaTrace:
         a = sched.declared_a
         assert trace.predicted_limit == pytest.approx(0.5 * a, rel=1e-14)
         assert trace.errors[-1] < trace.errors[0]
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    @pytest.mark.parametrize("point", [(0.5, 0.5), (0.3, 0.6)])
+    def test_quad_equals_its_closed_form(self, name, point):
+        # By the moment lemma, [n](B quad - quad)(x, y) is exactly
+        # p_n^(n-1) ((x - x^2) + (y - y^2)).  The log-domain basis weights
+        # carry a relative error growing like n^2 eps, hence the tolerance
+        # 4 n^2 eps [n] |f(x, y)|.
+        sched = SCHEDULES[name]
+        x, y = point
+        trace = voronovskaja_trace(CORPUS["quad"], sched, point)
+        assert trace.degrees == list(DEFAULT_DEGREES)
+        for n, value in zip(trace.degrees, trace.scaled_values):
+            pq = sched.pair(n)
+            closed = pq.p ** (n - 1) * ((x - x * x) + (y - y * y))
+            tol = 4 * n * n * 2.0**-52 * pq_integer(n, pq) * (x * x + y * y)
+            assert abs(value - closed) <= tol, (n, value, closed)
 
     def test_linear_functions_scale_to_zero(self):
         # the operator reproduces linear functions, so the scaled trace is 0
