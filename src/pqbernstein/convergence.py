@@ -21,12 +21,14 @@ Moduli of continuity are measured on a discrete grid, hence UNDERestimate
 the true modulus; every omega-based certificate therefore also reports a
 conservative column with omega evaluated at 2*delta, and the headline
 pass/fail is judged on that conservative column.  The complete modulus
-comes from numpy grey dilations by discrete discs (a disc is a stack of
-row segments, so each dilation is a max of shifted, edge-padded copies),
-marched outward until the dilation is max(f) everywhere; the Peetre-K
-surrogate mollifies with a separable truncated Gaussian (per axis, one
-np.convolve over the edge-padded lines laid end to end); the Lipschitz
-hypothesis is checked from per-axis power tables.  A certificate records
+comes from grey dilations by discrete discs, each a max of shifted
+contiguous slices of one flat edge-padded buffer (a small disc is a stack
+of row segments; each outward rung dilates by the radius-4 disc as three
+small offset sets in turn), marched outward until the dilation is max(f)
+everywhere; the Peetre-K surrogate mollifies with a separable truncated
+Gaussian (one np.convolve per edge-padded line, axis by axis); the
+Lipschitz hypothesis is checked from per-axis power tables, over each
+unordered pair of grid points once.  A certificate records
 measured left-hand side, computed bound, margin and pass flag.  Each
 theorem's bound is written once, in ``_bounds``, and evaluated at every
 node of the certificate grid; the uniform columns are the grid maxima of
@@ -92,48 +94,117 @@ class HypothesisError(ValueError):
         super().__init__(f"hypothesis {hypothesis!r} violated: {detail}")
 
 
-def _dilate(F: np.ndarray, r: int) -> np.ndarray:
-    """Grey dilation of F by the discrete disc i^2 + j^2 <= r^2, with
-    edge-clamped borders.
+def _max_of(dst: np.ndarray, terms) -> np.ndarray:
+    """dst[k] = max over the pairs (src, o) in ``terms`` of src[k + o], for
+    every k at which each shift stays inside the flat arrays, all of
+    dst's size; the offsets o span zero.  Other entries of dst keep their
+    values.  Returns dst."""
+    offsets = [o for _, o in terms]
+    lo, hi = -min(offsets), dst.size - max(offsets)
+    out = dst[lo:hi]
+    (a, oa), (b, ob) = terms[:2]
+    np.maximum(a[lo + oa : hi + oa], b[lo + ob : hi + ob], out=out)
+    for src, o in terms[2:]:
+        np.maximum(out, src[lo + o : hi + o], out=out)
+    return dst
 
-    The disc is a stack of 2r+1 row segments, so the result is a max over
-    rows i of the segment max of half-width isqrt(r^2 - i^2), shifted by
-    i.  Segment maxima of every half-width are built by widening one
-    column at a time.  Only max operations are used, so the result is
-    exact.
+
+# The radius-4 disc {i^2 + j^2 <= 16} is the Minkowski sum of these three
+# offset sets (row, column): dilating by each in turn takes 4 + 3 + 3
+# maxima, where the disc's own offsets would take 16.
+_DISC4_STAGES = (
+    ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)),
+    ((-1, 0), (1, 0), (0, -2), (0, 2)),
+    ((-2, 0), (2, 0), (0, -1), (0, 1)),
+)
+
+
+class _Dilations:
+    """Grey dilations by discrete discs {i^2 + j^2 <= r^2}, with
+    edge-clamped borders, of arrays of one shape.
+
+    Each dilation edge-pads its input by ``PAD`` into a flat buffer and
+    takes maxima of shifted contiguous slices of it: a shift (i, j) of
+    the padded array is the flat offset i*W + j, W its padded width.  A
+    slice position whose shift crosses a row end holds a value from the
+    wrong row, but no dilation reaches further than PAD rows or columns,
+    so the centre crop reads none of them.  Only max operations are used,
+    so every result is exact.  The buffers are allocated once; a returned
+    array is a view into them, valid until the next call.
     """
-    rows, cols = F.shape
-    P = np.pad(F, r, mode="edge")
-    seg = [P[:, r : r + cols]]  # seg[w]: max over columns c-w..c+w
-    for w in range(1, r + 1):
-        wider = np.maximum(P[:, r - w : r - w + cols], P[:, r + w : r + w + cols])
-        seg.append(np.maximum(seg[-1], wider))
-    out = seg[r][r : r + rows].copy()
-    for i in range(1, r + 1):
-        S = seg[math.isqrt(r * r - i * i)]
-        np.maximum(out, S[r - i : r - i + rows], out=out)
-        np.maximum(out, S[r + i : r + i + rows], out=out)
-    return out
+
+    PAD = 8  # the largest radius of ``discs``
+
+    def __init__(self, shape: tuple[int, int]):
+        rows, cols = shape
+        pad = self.PAD
+        self._width = cols + 2 * pad
+        self._padded = np.zeros((rows + 2 * pad, self._width))
+        self._out = np.zeros(self._padded.size)
+        self._tmp = np.zeros(self._padded.size)
+        self._crop = (slice(pad, pad + rows), slice(pad, pad + cols))
+        self._stages = [[i * self._width + j for i, j in st] for st in _DISC4_STAGES]
+
+    def _load(self, D: np.ndarray) -> np.ndarray:
+        pad, P = self.PAD, self._padded
+        P[self._crop] = D
+        P[pad:-pad, :pad] = D[:, :1]
+        P[pad:-pad, -pad:] = D[:, -1:]
+        P[:pad] = P[pad]
+        P[-pad:] = P[-pad - 1]
+        return P.ravel()
+
+    def _cropped(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(self._padded.shape)[self._crop]
+
+    def discs(self, F: np.ndarray, radii: Sequence[int]):
+        """Yield (r, dilation of F by the disc of radius r) for each radius
+        in turn, each at most PAD.  The disc is a stack of row segments, so
+        each dilation is a max over rows i of the column-segment max of
+        half-width isqrt(r^2 - i^2), shifted by i rows."""
+        P = self._load(F)
+        # seg[w][k]: max of P over the columns c-w..c+w of k's row; from
+        # w = 2 on, seg[w-1] shifted by -1 and +1 covers them all
+        seg = [P, *np.zeros((max(radii), P.size))]
+        for w in range(1, len(seg)):
+            terms = [(seg[w - 1], -1), (seg[w - 1], 1)] + ([(P, 0)] if w == 1 else [])
+            _max_of(seg[w], terms)
+        W = self._width
+        for r in radii:
+            terms = [(seg[math.isqrt(r * r - i * i)], i * W) for i in range(-r, r + 1)]
+            yield r, self._cropped(_max_of(self._out, terms))
+
+    def disc4(self, D: np.ndarray) -> np.ndarray:
+        """The dilation of D by the radius-4 disc, as three stages, one per
+        ``_DISC4_STAGES`` set."""
+        src = self._load(D)
+        for stage, dst in zip(self._stages, (self._out, self._tmp, self._out)):
+            src = _max_of(dst, [(src, o) for o in stage])
+        return self._cropped(src)
 
 
 def _mollify(F: np.ndarray, sigma: float) -> np.ndarray:
     """Discrete Gaussian mollification of F (sigma in grid cells), with
     edge-clamped borders: a separable convolution with the normalised
-    Gaussian kernel truncated at 4 sigma.  Per axis, the edge-padded lines
-    lie end to end in one array and one np.convolve(..., "valid") call
-    smooths them all; each line keeps the outputs whose window stays
-    inside it, the same dot products as a convolve of that line alone."""
+    Gaussian kernel truncated at 4 sigma: axis 0, then axis 1, one
+    np.convolve(..., "valid") per edge-padded line."""
     radius = int(4.0 * sigma + 0.5)
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma * sigma) * t**2)
     kernel /= kernel.sum()
 
     def smooth_rows(G):
-        P = np.pad(G, ((0, 0), (radius, radius)), mode="edge")
-        out = np.convolve(P.ravel(), kernel, mode="valid")
-        return np.pad(out, (0, 2 * radius)).reshape(P.shape)[:, : G.shape[1]]
+        out = np.empty_like(G)
+        for row, line in zip(out, np.pad(G, ((0, 0), (radius, radius)), mode="edge")):
+            row[:] = np.convolve(line, kernel, mode="valid")
+        return out
 
     return smooth_rows(smooth_rows(F.T).T)
+
+
+def _sup(a: np.ndarray) -> float:
+    """max |a|, without an |a| array; +0.0 when every entry is a zero."""
+    return float(max(0.0, a.max(), -a.min()))
 
 
 def _nonnegative(delta) -> np.ndarray:
@@ -151,7 +222,8 @@ class ModulusTable:
     (OMEGA_GRID + 1)^2 grid of [0,1]^2, which is evaluated once:
 
     * ``omega``: the complete-modulus ladder, by iterated grey dilation
-      with discrete discs (see ``_dilate``).  Compositions of discrete
+      with discrete discs (see ``_Dilations``): the exact discs of radius
+      1 to 8, then rungs of the radius-4 disc.  Compositions of discrete
       discs stay inside the continuous disc of the summed radius, so every
       ladder value is a valid LOWER estimate of the true modulus at its
       delta, converging from below as the grid refines.  The march stops
@@ -164,12 +236,17 @@ class ModulusTable:
       (||f - g||, ||g||_C2) over the mollifications g of f at the scales
       ``MOLLIFY_SCALES`` (see ``_mollify``).
 
+    The dilations, the increments and the difference quotients are
+    written into buffers allocated once per table, and each sup-norm is
+    max(max a, -min a), with no |a| array.  Every value is the float that
+    the direct array expression gives.
+
     A table lives as long as the caller holds it; ``certify_bound`` and
     ``certification_sweep`` make one per function and drop it on return.
     """
 
-    _EXACT_RADII = tuple(range(1, 9))
-    _STEP = 4  # incremental disc radius past the exact prefix
+    _EXACT_RADII = tuple(range(1, _Dilations.PAD + 1))
+    _STEP = 4  # disc radius of each rung past the exact prefix: _Dilations.disc4
     h = 1.0 / OMEGA_GRID
 
     def __init__(self, f: Callable):
@@ -185,52 +262,59 @@ class ModulusTable:
         F = self.F
         deltas = [0.0]
         values = [0.0]
+        dilations, rise = _Dilations(F.shape), np.empty_like(F)
         # exact small radii resolve the bounds' typically tiny deltas
-        for radius in self._EXACT_RADII:
-            D = _dilate(F, radius)
+        for radius, D in dilations.discs(F, self._EXACT_RADII):
             deltas.append(radius * self.h)
-            values.append(float(np.max(D - F)))
+            values.append(float(np.subtract(D, F, out=rise).max()))
         # then march outward by composed dilations from the last exact disc,
         # to the diagonal or until D is max(F) everywhere (rungs repeat after)
         limit = int(math.ceil(math.sqrt(2.0) * OMEGA_GRID))
         top = np.max(F)
         while radius < limit and np.min(D) < top:
-            D = _dilate(D, self._STEP)
+            D = dilations.disc4(D)
             radius += self._STEP
             deltas.append(radius * self.h)
-            values.append(float(np.max(D - F)))
+            values.append(float(np.subtract(D, F, out=rise).max()))
         return np.array(deltas), np.maximum.accumulate(np.array(values))
 
     @cached_property
     def _partial(self) -> dict[str, np.ndarray]:
         ladders = {}
-        for axis, G in (("x", self.F), ("y", self.F.T)):
+        for axis, G in (("x", self.F), ("y", np.ascontiguousarray(self.F.T))):
+            buf = np.empty(G.size)
             vals = [0.0]
             for d in range(1, OMEGA_GRID + 1):
-                vals.append(float(np.max(np.abs(G[d:] - G[:-d]))))
+                diff = buf[: (len(G) - d) * G.shape[1]].reshape(-1, G.shape[1])
+                np.subtract(G[d:], G[:-d], out=diff)
+                vals.append(_sup(diff))
             ladders[axis] = np.maximum.accumulate(np.array(vals))
         return ladders
 
     @cached_property
     def _k_pairs(self) -> list[tuple[float, float]]:
         # sup-norms on the grid, derivatives by central finite differences;
-        # ||g||_C2 = ||g|| + sum_{j=1,2} (||d^j g/dx^j|| + ||d^j g/dy^j||)
+        # ||g||_C2 = ||g|| + ||g_x|| + ||g_xx|| + ||g_y|| + ||g_yy||, summed
+        # in that order.  Each difference quotient is formed in one buffer
+        # in the rounding order of (g[i+1] - 2 g[i] + g[i-1]) / h^2.
         F, h = self.F, self.h
+        rows, cols = F.shape
+        buf = np.empty(F.size)
+        along_x = buf[: (rows - 2) * cols].reshape(rows - 2, cols)
+        along_y = buf[: rows * (cols - 2)].reshape(rows, cols - 2)
         pairs = []
         for sigma in MOLLIFY_SCALES:
             G = F if sigma == 0 else _mollify(F, sigma / h)
-            dist = float(np.max(np.abs(F - G)))
-            gx = (G[2:, :] - G[:-2, :]) / (2 * h)
-            gy = (G[:, 2:] - G[:, :-2]) / (2 * h)
-            gxx = (G[2:, :] - 2 * G[1:-1, :] + G[:-2, :]) / (h * h)
-            gyy = (G[:, 2:] - 2 * G[:, 1:-1] + G[:, :-2]) / (h * h)
-            norm = float(
-                np.max(np.abs(G))
-                + np.max(np.abs(gx))
-                + np.max(np.abs(gxx))
-                + np.max(np.abs(gy))
-                + np.max(np.abs(gyy))
-            )
+            dist = _sup(np.subtract(F, G, out=buf.reshape(rows, cols)))
+            norm = _sup(G)
+            for q, hi, mid, lo in (
+                (along_x, G[2:], G[1:-1], G[:-2]),
+                (along_y, G[:, 2:], G[:, 1:-1], G[:, :-2]),
+            ):
+                norm += _sup(np.divide(np.subtract(hi, lo, out=q), 2 * h, out=q))
+                np.multiply(mid, 2, out=q)
+                np.add(np.subtract(hi, q, out=q), lo, out=q)
+                norm += _sup(np.divide(q, h * h, out=q))
             pairs.append((dist, norm))
         return pairs
 
@@ -267,20 +351,25 @@ def verify_lipschitz(f: Callable, spec: LipschitzSpec) -> tuple[bool, float]:
     """Check |f(s,t)-f(x,y)| <= M |s-x|^a1 |t-y|^a2 over all point pairs of
     the LIPSCHITZ_SAMPLES^2 grid; returns (worst <= LIPSCHITZ_TOL, worst
     violation).  The bound comes from two power tables, M |s-x|^a1 and
-    |t-y|^a2, multiplied in that order, one grid row x_i at a time."""
-    xs = np.linspace(0.0, 1.0, LIPSCHITZ_SAMPLES)
+    |t-y|^a2, multiplied in that order, one grid row x_i at a time.  The
+    violation of the pair ((i, j), (k, l)) is the same float as that of
+    ((k, l), (i, j)), so row x_i is paired with the rows x_k, k >= i, only."""
+    S = LIPSCHITZ_SAMPLES
+    xs = np.linspace(0.0, 1.0, S)
     F = _eval_grid(f, xs, xs)
     gaps = np.abs(xs[:, None] - xs[None, :])
     bx = spec.M * gaps**spec.alpha1
     by = gaps**spec.alpha2
-    viol = np.empty((LIPSCHITZ_SAMPLES,) * 3)
-    bound = np.empty_like(viol)
+    viol_buf, bound_buf = np.empty(S**3), np.empty(S**3)
     worst = 0.0
-    for i in range(LIPSCHITZ_SAMPLES):
-        # viol[j, k, l] = |f(x_i, y_j) - f(x_k, y_l)| - bx[i, k] by[j, l]
-        np.subtract(F[i][:, None, None], F, out=viol)
+    for i in range(S):
+        shape = (S, S - i, S)
+        viol = viol_buf[: (S - i) * S * S].reshape(shape)
+        bound = bound_buf[: viol.size].reshape(shape)
+        # viol[j, k - i, l] = |f(x_i, y_j) - f(x_k, y_l)| - bx[i, k] by[j, l]
+        np.subtract(F[i][:, None, None], F[i:], out=viol)
         np.abs(viol, out=viol)
-        np.multiply(bx[i][:, None], by[:, None, :], out=bound)
+        np.multiply(bx[i, i:][:, None], by[:, None, :], out=bound)
         viol -= bound
         worst = max(worst, float(np.max(viol)))
     return worst <= LIPSCHITZ_TOL, worst

@@ -20,7 +20,8 @@ from pqbernstein.convergence import (
     THEOREMS,
     HypothesisError,
     ModulusTable,
-    _dilate,
+    _DISC4_STAGES,
+    _Dilations,
     _mollify,
     certification_sweep,
     certify_bound,
@@ -129,6 +130,24 @@ def _brute_dilate(F, r):
     return out
 
 
+def _segment_dilate(F, r):
+    """Reference disc dilation, edge-clamped: a max over rows i of the
+    column-segment max of half-width isqrt(r^2 - i^2), shifted by i, on
+    an np.pad copy of F."""
+    rows, cols = F.shape
+    P = np.pad(F, r, mode="edge")
+    seg = [P[:, r : r + cols]]  # seg[w]: max over columns c-w..c+w
+    for w in range(1, r + 1):
+        wider = np.maximum(P[:, r - w : r - w + cols], P[:, r + w : r + w + cols])
+        seg.append(np.maximum(seg[-1], wider))
+    out = seg[r][r : r + rows].copy()
+    for i in range(1, r + 1):
+        S = seg[math.isqrt(r * r - i * i)]
+        np.maximum(out, S[r - i : r - i + rows], out=out)
+        np.maximum(out, S[r + i : r + i + rows], out=out)
+    return out
+
+
 def _clamped_smoothing_matrix(size, kernel):
     """A @ v is the edge-clamped weighted sum sum_t kernel[t] v[clamp(a + t)]."""
     radius = len(kernel) // 2
@@ -180,11 +199,11 @@ def _full_ladder(table):
     F = table.F
     deltas, values = [0.0], [0.0]
     for radius in table._EXACT_RADII:
-        D = _dilate(F, radius)
+        D = _segment_dilate(F, radius)
         deltas.append(radius * table.h)
         values.append(float(np.max(D - F)))
     while radius < int(math.ceil(math.sqrt(2.0) * OMEGA_GRID)):
-        D = _dilate(D, table._STEP)
+        D = _segment_dilate(D, table._STEP)
         radius += table._STEP
         deltas.append(radius * table.h)
         values.append(float(np.max(D - F)))
@@ -195,10 +214,71 @@ class TestGridFilters:
     F = np.random.default_rng(20160121).random((23, 31))
 
     def test_dilation_equals_brute_force_disc_max(self):
-        for r in range(1, 9):
-            assert np.array_equal(_dilate(self.F, r), _brute_dilate(self.F, r))
-        composed = _dilate(_dilate(self.F, 8), 4)
-        assert np.array_equal(composed, _brute_dilate(_brute_dilate(self.F, 8), 4))
+        # shapes narrower than the padding and single rows and columns too
+        rng = np.random.default_rng(1601)
+        for F in (self.F, rng.random((3, 5)), rng.random((1, 9)), rng.random((9, 1))):
+            dilations = _Dilations(F.shape)
+            for r, D in dilations.discs(F, range(1, 9)):
+                assert np.array_equal(D, _brute_dilate(F, r)), (F.shape, r)
+            assert np.array_equal(D, _segment_dilate(F, 8)), F.shape
+
+    def test_disc4_stages_sum_to_the_radius_4_disc(self):
+        total = {(0, 0)}
+        for stage in _DISC4_STAGES:
+            total = {(a + c, b + d) for a, b in total for c, d in stage}
+        disc = {(i, j) for i in range(-4, 5) for j in range(-4, 5) if i * i + j * j <= 16}
+        assert total == disc
+
+    def test_disc4_rungs_equal_brute_force_five_deep(self):
+        rng = np.random.default_rng(2016)
+        for shape in ((23, 31), (40, 17), (3, 5), (1, 9), (9, 1), (1, 1)):
+            F = rng.random(shape)
+            dilations = _Dilations(shape)
+            _, D = next(dilations.discs(F, [8]))
+            ref = _brute_dilate(F, 8)
+            for depth in range(5):
+                D = dilations.disc4(D)
+                ref = _brute_dilate(ref, 4)
+                assert np.array_equal(D, ref), (shape, depth)
+
+    def test_partial_ladders_equal_abs_reference_bit_for_bit(self):
+        # (0.5 - x) * 0 is +0.0 for x <= 0.5 and -0.0 above, so at large
+        # shifts every x-increment is -0.0: the ladder must still read +0.0
+        fns = [tf.fn for tf in CORPUS.values()]
+        fns += [
+            lambda x, y: (0.5 - x) * 0.0 * (1.0 + 0.0 * y),
+            lambda x, y: (0.5 - y) * 0.0 * (1.0 + 0.0 * x),
+        ]
+        for f in fns:
+            table = ModulusTable(f)
+            for axis, G in (("x", table.F), ("y", table.F.T)):
+                vals = [0.0] + [float(np.max(np.abs(G[d:] - G[:-d]))) for d in range(1, len(G))]
+                ref = np.maximum.accumulate(np.array(vals))
+                assert table._partial[axis].tobytes() == ref.tobytes(), axis
+
+    def test_k_pairs_equal_direct_expressions_bit_for_bit(self):
+        fns = [tf.fn for tf in CORPUS.values()]
+        fns.append(lambda x, y: (0.5 - x) * 0.0 * (1.0 + 0.0 * y))
+        for f in fns:
+            table = ModulusTable(f)
+            F, h = table.F, table.h
+            ref = []
+            for sigma in MOLLIFY_SCALES:
+                G = F if sigma == 0 else _mollify(F, sigma / h)
+                gx = (G[2:, :] - G[:-2, :]) / (2 * h)
+                gy = (G[:, 2:] - G[:, :-2]) / (2 * h)
+                gxx = (G[2:, :] - 2 * G[1:-1, :] + G[:-2, :]) / (h * h)
+                gyy = (G[:, 2:] - 2 * G[:, 1:-1] + G[:, :-2]) / (h * h)
+                norm = (
+                    np.max(np.abs(G))
+                    + np.max(np.abs(gx))
+                    + np.max(np.abs(gxx))
+                    + np.max(np.abs(gy))
+                    + np.max(np.abs(gyy))
+                )
+                ref.append((float(np.max(np.abs(F - G))), float(norm)))
+            got = [(dist.hex(), norm.hex()) for dist, norm in table._k_pairs]
+            assert got == [(dist.hex(), norm.hex()) for dist, norm in ref]
 
     def test_mollifier_matches_dense_clamped_sum(self):
         # sigma = 10 truncates at radius 40, wider than either side
