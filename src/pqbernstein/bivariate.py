@@ -28,7 +28,6 @@ from .univariate import (
     basis_row,
     basis_row_exact,
     nodes,
-    uni_central_moment,
     uni_moment_closed,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "bi_apply_exact",
     "bi_apply_grid",
     "bi_moment_closed",
-    "bi_central_moment2",
     "KorovkinRow",
     "korovkin_experiment",
 ]
@@ -213,18 +211,6 @@ def bi_moment_closed(which: str, params: BiParams, x: Number, y: Number) -> Numb
     else:
         pq, n, v = params.pq2, params.m, y
     return uni_moment_closed(2, n, v, pq)
-
-
-def bi_central_moment2(axis: str, params: BiParams, x: Number, y: Number) -> Number:
-    """Second central moment along one axis:
-    x-axis -> p1^{n-1}/[n] (x - x^2);  y-axis -> p2^{m-1}/[m] (y - y^2)."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if axis == "x":
-        pq, n, v = params.pq1, params.n, x
-    else:
-        pq, n, v = params.pq2, params.m, y
-    return uni_central_moment(2, n, v, pq)
 
 
 @dataclass

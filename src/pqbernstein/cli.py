@@ -7,7 +7,10 @@ One subcommand per analysis surface: ``pq`` (calculus primitives),
 ``--out`` (default stdout).  Floats are printed with 17 significant
 digits so output round-trips exactly; summation orders are fixed, so
 output is byte-stable across runs for a fixed configuration (``selftest``
-also takes ``--seed``).
+also takes ``--seed``).  ``eval`` formats its grid in contiguous chunks of
+x-lines across the process's CPUs, each chunk after the first in a forked
+child; the bytes do not depend on the CPU count, and no process holds
+more than one x-line of text.
 
 Exit codes: 0 success, 1 bound-certificate or selftest failure,
 2 usage/validation error, including arithmetic the float path cannot
@@ -20,8 +23,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
+import shutil
+import signal
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,6 +73,10 @@ from .voronovskaja import (
 )
 
 SCHEMA_VERSION = 1
+
+# the fewest x-lines a chunk of the grid writer holds: a shorter chunk
+# would cost about as much to fork and copy as it saves
+_MIN_CHUNK_LINES = 64
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,13 @@ def _write(fh, args, columns, rows, command) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _write_grid(fh, grid: Grid, as_json: bool) -> None:
     """Write the rows of ``grid``, one x-line per write, as CSV rows or as
     the rows of ``json.dump(..., indent=2)``.
@@ -127,6 +145,14 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
     is "%.17g", which prints every double (nan, inf and -0 too) as _fmt
     does and never a comma, quote or newline, so no cell needs quoting.
     A JSON cell is float.__repr__ ("%r"), as json writes it.
+
+    The x-lines are split into contiguous chunks, one per CPU but none
+    shorter than _MIN_CHUNK_LINES.  Each chunk after the first is
+    formatted by a forked child into an unlinked temporary file while
+    this process writes the first chunk to ``fh``; the children are then
+    reaped in order and their files copied to ``fh``.  One chunk is the
+    same loop with no child, so the bytes do not depend on the CPU
+    count, and no process holds more than one x-line of text.
     """
     fmt, sep = ("%r", ",") if as_json else ("%.17g", "")
     cells = ["{}", "%s"] + [fmt] * len(grid.planes)
@@ -135,12 +161,47 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
     else:
         row = ",".join(cells) + "\n"
     ystr = [fmt % y for y in grid.ys.tolist()]
-    for i, x in enumerate(grid.xs.tolist()):
-        values = zip(ystr, *(plane[i].tolist() for plane in grid.planes))
-        text = sep.join(map(row.format(fmt % x).__mod__, values))
-        if as_json:  # json spells the non-finite doubles NaN, Infinity and -Infinity
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(sep + text if i else text)
+    xs = grid.xs.tolist()
+
+    def write_lines(out, lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            values = zip(ystr, *(plane[i].tolist() for plane in grid.planes))
+            text = sep.join(map(row.format(fmt % xs[i]).__mod__, values))
+            if as_json:  # json spells the non-finite doubles NaN, Infinity and -Infinity
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            out.write(sep + text if i else text)  # a chunk after the first starts with sep
+
+    chunks = max(1, min(_cpus(), len(xs) // _MIN_CHUNK_LINES))
+    ends = [len(xs) * k // chunks for k in range(1, chunks + 1)]
+    pids, files = [], []  # the children not yet reaped; every child's file
+    try:
+        for lo, hi in zip(ends, ends[1:]):
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # the child leaves here: no atexit, no parent buffer, no traceback
+                status = 1
+                try:
+                    write_lines(files[-1], lo, hi)
+                    files[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        write_lines(fh, 0, ends[0])
+        for chunk in files:
+            pid = pids[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[0]
+            if status:
+                raise OSError(f"grid writer process {pid} exited with status {status}")
+            chunk.seek(0)
+            shutil.copyfileobj(chunk, fh)
+    finally:
+        for pid in pids:  # left only when this process failed first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for chunk in files:
+            chunk.close()
 
 
 def _schedule(name: str):

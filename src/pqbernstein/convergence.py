@@ -31,10 +31,12 @@ Lipschitz hypothesis is checked from per-axis power tables, over each
 unordered pair of grid points once.  A certificate records
 measured left-hand side, computed bound, margin and pass flag.  Each
 theorem's bound is written once, in ``_bounds``, and evaluated at every
-node of the certificate grid; the uniform columns are the grid maxima of
-those pointwise bounds.  Every bound is nondecreasing in both deltas, and
-the lattice maxima of d_n and d_m meet at one of its nodes, so the grid
-maximum is the bound at the sup deltas.
+node of the certificate grid and once more at the sup deltas, where
+x = y = 1/2; that last value is the uniform column.  Every bound is
+nondecreasing in both deltas, so on an even grid, where 1/2 is a node,
+the uniform column is the grid maximum of the pointwise bounds; an odd
+grid misses 1/2, and its grid maximum would fall short of the theorem's
+sup bound.
 
 Where the work lives.  A ``ModulusTable`` holds every grid table of one
 function, all derived from one evaluation of f on the OMEGA_GRID grid:
@@ -417,9 +419,9 @@ def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
 class BoundCertificate:
     """Measured error vs. theorem bound for one function and degree pair.
 
-    The uniform columns ``rhs`` and ``rhs_conservative`` are the grid
-    maxima of the pointwise bounds, which is each bound at the sup
-    deltas.  ``passed`` is the conservative pointwise check: lhs against
+    The uniform columns ``rhs`` and ``rhs_conservative`` are each bound
+    at the sup deltas (x = y = 1/2), which no pointwise bound exceeds.
+    ``passed`` is the conservative pointwise check: lhs against
     the conservative bound (omega at 2*delta for the modulus theorems,
     the weaker a/2 exponent for the Lipschitz theorem), node by node; the
     uniform check then follows.  It fills both the ``status`` and the
@@ -448,6 +450,7 @@ class _Gap(NamedTuple):
     err: np.ndarray  # err[i, j] = |Bf - f| at (xs[i], xs[j])
     dn2: np.ndarray  # d_n^2 over the x grid, a column
     dm2: np.ndarray  # d_m^2 over the y grid, a row
+    sup2: tuple[np.ndarray, np.ndarray]  # 1x1: d_n^2 and d_m^2 at x = y = 1/2, their peak
 
 
 def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
@@ -455,17 +458,20 @@ def _gap(tf: TargetFunction2D, params: BiParams, grid: int) -> _Gap:
     xs = np.linspace(0.0, 1.0, grid + 1)
     dn2 = uni_central_moment(2, params.n, xs, params.pq1)
     dm2 = uni_central_moment(2, params.m, xs, params.pq2)
-    return _Gap(params, err, dn2[:, None], dm2[None, :])
+    half = np.array([[0.5]])
+    sup2 = (
+        uni_central_moment(2, params.n, half, params.pq1),
+        uni_central_moment(2, params.m, half, params.pq2),
+    )
+    return _Gap(params, err, dn2[:, None], dm2[None, :], sup2)
 
 
 def _bounds(
     theorem_id: str, constants, table: ModulusTable, dn2: np.ndarray, dm2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One theorem's pointwise bound on the certificate grid, as the pair
-    (sharp, conservative) of arrays; ``dn2`` is a column, ``dm2`` a row.
-
-    Each bound is nondecreasing in both deltas, so its grid maximum is
-    its value at the sup deltas: the uniform bound."""
+    """One theorem's pointwise bound at the squared deltas ``dn2`` (a
+    column) and ``dm2`` (a row), as the pair (sharp, conservative) of
+    arrays.  Each bound is nondecreasing in both deltas."""
     dn, dm = np.sqrt(dn2), np.sqrt(dm2)
     if theorem_id == "complete-modulus":
         D = np.sqrt(dn2 + dm2)
@@ -504,8 +510,8 @@ def _certificate(
     """One theorem's certificate, given its hypothesis constants (from
     ``_check_hypothesis``), the function's tables and the shared gap."""
     sharp, cons = _bounds(theorem_id, constants, table, gap.dn2, gap.dm2)
+    rhs, rhs_cons = (b.item() for b in _bounds(theorem_id, constants, table, *gap.sup2))
     lhs = float(np.max(gap.err))
-    rhs_cons = float(np.max(cons))
     return BoundCertificate(
         theorem_id=theorem_id,
         f_name=tf.name,
@@ -513,11 +519,11 @@ def _certificate(
         n=gap.params.n,
         m=gap.params.m,
         lhs=lhs,
-        rhs=float(np.max(sharp)),
+        rhs=rhs,
         rhs_conservative=rhs_cons,
         margin=rhs_cons - lhs,
         pointwise_ok=bool(np.all(gap.err <= sharp + PASS_SLACK)),
-        # lhs <= cons node by node implies lhs <= rhs_cons, its grid maximum
+        # lhs <= cons node by node implies lhs <= rhs_cons, which no node's cons exceeds
         passed=bool(np.all(gap.err <= cons + PASS_SLACK)),
     )
 

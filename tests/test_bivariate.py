@@ -19,7 +19,6 @@ from pqbernstein.bivariate import (
     bi_apply,
     bi_apply_exact,
     bi_apply_grid,
-    bi_central_moment2,
     bi_moment_closed,
     korovkin_experiment,
 )
@@ -138,8 +137,8 @@ class TestMomentLemma:
                     mu_y = bi_apply_exact(
                         lambda s, t: (t - y) ** 2, params, x, y
                     )
-                    assert bi_central_moment2("x", params, x, y) == mu_x
-                    assert bi_central_moment2("y", params, x, y) == mu_y
+                    assert uni_central_moment(2, params.n, x, params.pq1) == mu_x
+                    assert uni_central_moment(2, params.m, y, params.pq2) == mu_y
 
 
 class TestSchedules:

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,29 @@ def _main_stdout(argv) -> str:
     return out.getvalue()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes in this process during
+    the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:  # a child still running, or exited but unreaped, is still ours
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestFloatTableBytes:
     """eval writes its grid one x-line at a time, each coordinate formatted
     once; the bytes must be those of the per-cell route."""
@@ -242,6 +267,124 @@ class TestFloatTableBytes:
             text = _main_stdout([*argv, *fmt])
             assert out.read_bytes() == text.encode(), fmt
         assert text.count("\n    [") == 401 * 401
+
+    def test_chunked_writer_bytes_equal_one_writer(self, monkeypatch, forks):
+        # the grid writer forks a child for each chunk of x-lines after the
+        # first; 401 x-lines hold up to 6 chunks of at least 64
+        argv = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
+        formats = ([], ["--json"])
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        one = [_main_stdout([*argv, *fmt]) for fmt in formats]
+        assert forks == []
+        for cpus in (2, 3, 5):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            del forks[:]
+            assert [_main_stdout([*argv, *fmt]) for fmt in formats] == one, cpus
+            assert len(forks) == len(formats) * (cpus - 1), cpus
+            _assert_reaped(forks)
+
+    def test_chunked_writer_special_doubles(self, monkeypatch, forks):
+        # chunks of one x-line, so that even the special grids split; the
+        # 3-line grid has fewer x-lines than 5 CPUs and splits in 3
+        monkeypatch.setattr(cli, "_MIN_CHUNK_LINES", 1)
+        for columns, grid, _ in self._special_grids():
+            for as_json in (False, True):
+                args = argparse.Namespace(json=as_json)
+                monkeypatch.setattr(cli, "_cpus", lambda: 1)
+                one = io.StringIO()
+                cli._write(one, args, columns, grid, "t")
+                for cpus in (2, 3, 5):
+                    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+                    del forks[:]
+                    fh = io.StringIO()
+                    cli._write(fh, args, columns, grid, "t")
+                    assert fh.getvalue() == one.getvalue(), (grid.xs.size, as_json, cpus)
+                    if len(grid):
+                        assert len(forks) == min(cpus, grid.xs.size) - 1, (grid.xs.size, cpus)
+                    _assert_reaped(forks)
+
+    def test_eval_bytes_do_not_depend_on_the_cpu_count(self):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("one CPU: the grid writer forks no child, so there is nothing to compare")
+        # one BLAS thread on both sides: OpenBLAS would otherwise follow the
+        # affinity, and its thread count moves the bytes of the grid product
+        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        argv = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
+        for fmt in ([], ["--json"]):
+            pinned = run_cli(
+                [*argv, *fmt], env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]})
+            )
+            free = run_cli([*argv, *fmt], env=env)
+            assert pinned.returncode == free.returncode == 0, (pinned.stderr, free.stderr)
+            assert pinned.stdout == free.stdout, fmt
+
+
+class TestGridWriterProcesses:
+    """Every path out of eval's grid writer reaps every child it forked,
+    and a failure is one line on stderr with exit code 2."""
+
+    ARGV = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
+
+    def test_broken_pipe_leaves_no_process(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pqbernstein.cli", *self.ARGV],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == "x,y,f,Bf,abs_err\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+            # before stderr is drained: a child left running would hold it open
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+            err = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stderr.close()
+        assert err == "i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_child_is_one_io_error_line(self, monkeypatch, capfd, forks):
+        # every child's temporary file is full: the first child exits 1
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(
+            tempfile, "TemporaryFile", lambda *a, **kw: open("/dev/full", "w+", encoding="utf-8")
+        )
+        assert cli.main(self.ARGV) == 2
+        err = capfd.readouterr().err
+        assert err == f"i/o error: grid writer process {forks[0]} exited with status 1\n"
+        assert len(forks) == 2
+        _assert_reaped(forks)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_out_reaps_every_child(self, monkeypatch, capfd, forks):
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        assert cli.main([*self.ARGV, "--out", "/dev/full"]) == 2
+        assert capfd.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert len(forks) == 2
+        _assert_reaped(forks)
+
+    def test_interrupted_first_chunk_reaps_every_child(self, monkeypatch, forks):
+        # a broken pipe is the subprocess test above; an interrupt is not
+        # caught by main and leaves through the same finally
+        class InterruptedOut(io.StringIO):
+            def write(self, text):
+                if self.tell():  # the header goes through; the first x-line is interrupted
+                    raise KeyboardInterrupt
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        with contextlib.redirect_stdout(InterruptedOut()), pytest.raises(KeyboardInterrupt):
+            cli.main(self.ARGV)
+        assert len(forks) == 2
+        _assert_reaped(forks)
 
 
 class TestPqTable:

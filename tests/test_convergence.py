@@ -28,7 +28,7 @@ from pqbernstein.convergence import (
     verify_lipschitz,
 )
 from pqbernstein.functions import CORPUS, LipschitzSpec, TargetFunction2D, from_expression
-from pqbernstein.pq_core import PQPair
+from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.univariate import uni_central_moment
 
 
@@ -37,13 +37,12 @@ def _params(n=8, m=8):
     return BiParams(pq1=sched.pair(n), pq2=sched.pair(m), n=n, m=m)
 
 
-def _uniform_reference(theorem, tf, table, params, grid=50):
+def _uniform_reference(theorem, tf, table, params):
     """(rhs, rhs_conservative) of one certificate, each theorem's uniform
-    bound written as a scalar formula at the sup deltas of the lattice.
+    bound written as a scalar formula at the sup deltas, at x = y = 1/2.
     The C^1 norms come from the partials on a meshgrid."""
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    dn2 = float(np.max(uni_central_moment(2, params.n, xs, params.pq1)))
-    dm2 = float(np.max(uni_central_moment(2, params.m, xs, params.pq2)))
+    dn2 = uni_central_moment(2, params.n, 0.5, params.pq1)
+    dm2 = uni_central_moment(2, params.m, 0.5, params.pq2)
     dn, dm = math.sqrt(dn2), math.sqrt(dm2)
     if theorem == "complete-modulus":
         d = math.sqrt(dn2 + dm2)
@@ -472,8 +471,9 @@ class TestCertificates:
         assert ("lipschitz", "vee") in skipped_keys
 
     def test_uniform_columns_equal_bounds_at_sup_deltas(self):
-        # the uniform columns are grid maxima of the pointwise bounds; they
-        # must equal each bound evaluated once at the sup deltas, bit for bit
+        # the uniform columns must equal each bound evaluated once at the
+        # sup deltas, bit for bit; on the default even lattice 1/2 is a
+        # node, so they are also the grid maxima of the pointwise bounds
         functions = list(CORPUS.values())
         schedules = list(SCHEDULES.values())
         certs, _ = certification_sweep(THEOREMS, functions, schedules, [3, 4, 8, 16, 33])
@@ -486,14 +486,31 @@ class TestCertificates:
             rhs, cons = _uniform_reference(c.theorem_id, tf, tables[tf.name], params)
             assert (c.rhs.hex(), c.rhs_conservative.hex()) == (rhs.hex(), cons.hex()), c
             seen.add((c.theorem_id, c.schedule))
+            xs = np.linspace(0.0, 1.0, 51)
+            for d, pq in ((c.n, params.pq1), (c.m, params.pq2)):
+                peak = uni_central_moment(2, d, 0.5, pq)
+                assert np.max(uni_central_moment(2, d, xs, pq)) == peak
         assert len(seen) == len(THEOREMS) * len(SCHEDULES)
         # unequal degrees and schedules on the two axes, on another lattice
         params = BiParams(SCHEDULES["ii"].pair(5), SCHEDULES["iii"].pair(17), 5, 17)
         for theorem in THEOREMS:
             tf = CORPUS["const1" if theorem == "lipschitz" else "ripple"]
             c = certify_bound(theorem, tf, params, grid=37)
-            rhs, cons = _uniform_reference(theorem, tf, tables[tf.name], params, grid=37)
+            rhs, cons = _uniform_reference(theorem, tf, tables[tf.name], params)
             assert (c.rhs.hex(), c.rhs_conservative.hex()) == (rhs.hex(), cons.hex()), c
+
+    def test_odd_grid_uniform_column_is_the_sup_bound(self):
+        # an odd lattice misses x = y = 1/2, where d_n and d_m peak; the
+        # uniform column is still the bound there: ||f_x|| d_n + ||f_y|| d_m,
+        # with ||f_x|| = ||f_y|| = 2 for x^2 + y^2 and d_n^2 = p^{n-1}/(4[n])
+        # (the lattice maximum gives 1.047847)
+        params = _params(4, 4)
+        pq = params.pq1
+        d = math.sqrt(pq.p**3 / (4 * pq_integer(4, pq)))
+        cert = certify_bound("c1", CORPUS["quad"], params, grid=37)
+        assert cert.rhs == pytest.approx(2 * d + 2 * d, rel=1e-15)
+        assert cert.rhs == pytest.approx(1.048230, abs=1e-6)
+        assert cert.rhs_conservative == cert.rhs
 
     def test_lhs_shrinks_with_degree(self):
         lo = certify_bound("complete-modulus", CORPUS["ripple"], _params(4, 4))
