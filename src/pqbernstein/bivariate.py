@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .functions import monomial_2d
-from .pq_core import PQPair, is_exact
+from .pq_core import PQPair
 from .univariate import (
     basis_row,
     basis_row_exact,
@@ -41,6 +41,7 @@ __all__ = [
     "bi_apply_exact",
     "bi_apply_grid",
     "bi_moment_closed",
+    "KOROVKIN_EXPONENTS",
     "KorovkinRow",
     "korovkin_experiment",
 ]
@@ -180,42 +181,31 @@ def bi_apply_grid(
     return W1.T @ F @ W2
 
 
-_SELECTORS = ("1", "s", "t", "st", "s2", "t2")
-# the Korovkin column of each selector: e_ij(x, y) = x^i y^j
-_KOROVKIN_NAMES = ("e00", "e10", "e01", "e11", "e20", "e02")
+# the six Korovkin test monomials e_ij(x, y) = x^i y^j, 0 <= i+j <= 2, as
+# exponent pairs (i, j) in column order e00, e10, e01, e11, e20, e02
+KOROVKIN_EXPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 
 
-def bi_moment_closed(which: str, params: BiParams, x: Number, y: Number) -> Number:
-    """Closed form of the six bivariate moments: 1, s, t, st, s^2, t^2.
+def bi_moment_closed(i: int, j: int, params: BiParams, x: Number, y: Number) -> Number:
+    """Closed-form moment B(s^i t^j; x, y) for i, j in 0..4 (Lemma 2.3).
 
-    The t^2 identity uses the second direction's bracket [m]_{p2,q2}; the
-    double-sum oracle confirms this with asymmetric degrees (see the
-    tests).
+    The operator is a tensor product, so the moment is the product of the
+    two univariate closed forms, each at its own axis's degree and pair:
+    B_n(e_i; x) with (p1, q1) times B_m(e_j; y) with (p2, q2).  The t^2
+    moment thus takes the second axis's bracket [m]_{p2,q2}, which the
+    double-sum oracle confirms with asymmetric degrees (see the tests).
+    An exponent outside 0..4 raises ValueError.
     """
-    if which not in _SELECTORS:
-        raise ValueError(f"unknown moment selector {which!r}; use one of {_SELECTORS}")
-    exact = is_exact(params.pq1, x, y) and params.pq2.is_exact
-    one: Number = Fraction(1) if exact else 1.0
-    if not exact:
-        x, y = float(x), float(y)
-    if which == "1":
-        return one
-    if which == "s":
-        return one * x
-    if which == "t":
-        return one * y
-    if which == "st":
-        return one * x * y
-    if which == "s2":
-        pq, n, v = params.pq1, params.n, x
-    else:
-        pq, n, v = params.pq2, params.m, y
-    return uni_moment_closed(2, n, v, pq)
+    return uni_moment_closed(i, params.n, x, params.pq1) * uni_moment_closed(
+        j, params.m, y, params.pq2
+    )
 
 
 @dataclass
 class KorovkinRow:
-    """Sup-errors at one degree pair, with the six test-function errors."""
+    """Sup-errors at one degree pair: ``sup_error`` for f, and
+    ``test_errors`` for each Korovkin monomial x^i y^j, keyed f"e{i}{j}"
+    in the order of KOROVKIN_EXPONENTS."""
 
     n: int
     m: int
@@ -253,6 +243,6 @@ def korovkin_experiment(
     for n in degrees:
         pq = schedule.pair(n)
         params = BiParams(pq, pq, n, n)
-        errs = {e: sup_error(monomial_2d(w), params) for e, w in zip(_KOROVKIN_NAMES, _SELECTORS)}
+        errs = {f"e{i}{j}": sup_error(monomial_2d(i, j), params) for i, j in KOROVKIN_EXPONENTS}
         rows.append(KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs))
     return rows

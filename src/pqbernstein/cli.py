@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .bivariate import (
     _N_MIN,
-    _SELECTORS,
+    KOROVKIN_EXPONENTS,
     BiParams,
     SCHEDULES,
     _eval_grid,
@@ -443,9 +443,11 @@ def _selftest_rows(seed: int) -> tuple[list[list], bool]:
             display = [c * br[m] / br[n] for c in _moment_terms(2, m, pq)]
             for x in xs[1:4]:
                 for y in xs[1:4]:
-                    oracle = {w: bi_apply_exact(monomial_2d(w), params, x, y) for w in _SELECTORS}
-                    all_eq &= all(bi_moment_closed(w, params, x, y) == v for w, v in oracle.items())
-                    if witness is None and poly(display, y) != oracle["t2"]:
+                    oracle = {
+                        e: bi_apply_exact(monomial_2d(*e), params, x, y) for e in KOROVKIN_EXPONENTS
+                    }
+                    all_eq &= all(bi_moment_closed(*e, params, x, y) == oracle[e] for e in oracle)
+                    if witness is None and poly(display, y) != oracle[0, 2]:
                         witness = f"n={n} m={m} p2={pq.p} q2={pq.q} y={y}"
     add("bivariate-moments-exact", all_eq, "six identities, t^2 with the [m] denominator")
     discrepancy(

@@ -139,20 +139,13 @@ CORPUS: dict[str, TargetFunction2D] = {
 
 def monomial_1d(i: int) -> Callable:
     """t -> t^i; works on floats, arrays and Fractions alike."""
-    return lambda t: t**i if i else t**0
+    return lambda t: t**i
 
 
-def monomial_2d(which: str) -> Callable:
-    """The six bivariate moment test functions, by selector name."""
-    table = {
-        "1": lambda s, t: (s - s) + (t - t) + 1,
-        "s": lambda s, t: s + (t - t),
-        "t": lambda s, t: t + (s - s),
-        "st": lambda s, t: s * t,
-        "s2": lambda s, t: s * s + (t - t),
-        "t2": lambda s, t: t * t + (s - s),
-    }
-    return table[which]
+def monomial_2d(i: int, j: int) -> Callable:
+    """(s, t) -> s^i t^j, the bivariate moment test function of exponents
+    (i, j); works on floats, arrays and Fractions alike."""
+    return lambda s, t: s**i * t**j
 
 
 def fd_partial(fn: Callable, x, y, axis: str):

@@ -159,6 +159,8 @@ def _moment_terms(i: int, n: int, pq: PQPair) -> list:
     ``selftest`` report).
     """
     one = Fraction(1) if pq.is_exact else 1.0
+    if i in (0, 1):  # e_0 and e_1 need no brackets
+        return [one] * i
     p, q = pq.p, pq.q
     br = bracket_values(max(n, 1), pq)
 
@@ -168,10 +170,6 @@ def _moment_terms(i: int, n: int, pq: PQPair) -> list:
         return br[m]
 
     N = b(n)
-    if i == 0:
-        return []
-    if i == 1:
-        return [one]
     if i == 2:
         return [p ** (n - 1) / N, q * b(n - 1) / N]
     if i == 3:

@@ -76,12 +76,12 @@ def test_criterion_2_bivariate_moment_identities():
     t0 = time.monotonic()
     ok = True
     monomials = {
-        "1": lambda s, t: Fraction(1),
-        "s": lambda s, t: s,
-        "t": lambda s, t: t,
-        "st": lambda s, t: s * t,
-        "s2": lambda s, t: s * s,
-        "t2": lambda s, t: t * t,
+        (0, 0): lambda s, t: Fraction(1),
+        (1, 0): lambda s, t: s,
+        (0, 1): lambda s, t: t,
+        (1, 1): lambda s, t: s * t,
+        (2, 0): lambda s, t: s * s,
+        (0, 2): lambda s, t: t * t,
     }
     xy = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4))]
     for pq in PAIRS:
@@ -89,8 +89,8 @@ def test_criterion_2_bivariate_moment_identities():
             for m in range(1, 11):
                 params = BiParams(pq1=pq, pq2=pq, n=n, m=m)
                 for x, y in xy:
-                    for which, f in monomials.items():
-                        if bi_moment_closed(which, params, x, y) != bi_apply_exact(
+                    for (i, j), f in monomials.items():
+                        if bi_moment_closed(i, j, params, x, y) != bi_apply_exact(
                             f, params, x, y
                         ):
                             ok = False

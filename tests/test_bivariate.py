@@ -22,7 +22,7 @@ from pqbernstein.bivariate import (
     bi_moment_closed,
     korovkin_experiment,
 )
-from pqbernstein.functions import CORPUS, from_expression
+from pqbernstein.functions import CORPUS, from_expression, monomial_2d
 from pqbernstein.pq_core import PQPair
 from pqbernstein.univariate import basis_row, nodes, uni_apply, uni_central_moment
 
@@ -93,21 +93,21 @@ class TestMomentLemma:
     @pytest.mark.parametrize("pq1,pq2", EXACT_PAIRS)
     def test_all_six_identities_exact(self, pq1, pq2):
         monomials = {
-            "1": lambda s, t: Fraction(1),
-            "s": lambda s, t: s,
-            "t": lambda s, t: t,
-            "st": lambda s, t: s * t,
-            "s2": lambda s, t: s * s,
-            "t2": lambda s, t: t * t,
+            (0, 0): lambda s, t: Fraction(1),
+            (1, 0): lambda s, t: s,
+            (0, 1): lambda s, t: t,
+            (1, 1): lambda s, t: s * t,
+            (2, 0): lambda s, t: s * s,
+            (0, 2): lambda s, t: t * t,
         }
         for n in range(1, 11):
             for m in range(1, 11):
                 params = BiParams(pq1=pq1, pq2=pq2, n=n, m=m)
                 for x, y in XY_POINTS:
-                    for which, f in monomials.items():
+                    for (i, j), f in monomials.items():
                         oracle = bi_apply_exact(f, params, x, y)
-                        assert bi_moment_closed(which, params, x, y) == oracle, (
-                            which,
+                        assert bi_moment_closed(i, j, params, x, y) == oracle, (
+                            (i, j),
                             n,
                             m,
                         )
@@ -120,10 +120,42 @@ class TestMomentLemma:
         params = BiParams(pq1=pq1, pq2=pq2, n=2, m=9)
         x, y = Fraction(1, 3), Fraction(2, 3)
         oracle = bi_apply_exact(lambda s, t: t * t, params, x, y)
-        assert bi_moment_closed("t2", params, x, y) == oracle
+        assert bi_moment_closed(0, 2, params, x, y) == oracle
         # the same closed form evaluated with the first direction's data
         wrong_params = BiParams(pq1=pq1, pq2=pq2, n=9, m=2)
-        assert bi_moment_closed("t2", wrong_params, x, y) != oracle
+        assert bi_moment_closed(0, 2, wrong_params, x, y) != oracle
+
+    def test_product_form_at_every_bidegree_up_to_4(self):
+        # B(s^i t^j) = B_n(e_i) B_m(e_j) for all 25 exponent pairs; n = 2
+        # has i > n, where the closed form's brackets [n - k], k >= n, vanish
+        pq1 = PQPair(Fraction(3, 4), Fraction(1, 2))
+        pq2 = PQPair(Fraction(9, 10), Fraction(3, 5))
+        points = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 4), Fraction(1, 5))]
+        for n, m in [(7, 5), (2, 9), (4, 4)]:
+            params = BiParams(pq1=pq1, pq2=pq2, n=n, m=m)
+            for x, y in points:
+                for i in range(5):
+                    for j in range(5):
+                        oracle = bi_apply_exact(lambda s, t: s**i * t**j, params, x, y)
+                        assert bi_moment_closed(i, j, params, x, y) == oracle, (i, j, n, m)
+
+    def test_float_moments_at_large_degree(self):
+        # The log-domain float basis carries relative errors near 1e-10 at
+        # n = 2048 (ROADMAP item 1; 5.6e-11 at worst here); item 1's convex
+        # recurrence is the change that tightens this bound.
+        pq = SCHEDULES["i"].pair(2048)
+        params = BiParams(pq, pq, 2048, 2048)
+        x, y = 0.3, 0.6
+        for i in range(5):
+            for j in range(5):
+                closed = bi_moment_closed(i, j, params, x, y)
+                approx = bi_apply(monomial_2d(i, j), params, x, y)
+                assert approx == pytest.approx(closed, rel=1e-10), (i, j)
+
+    @pytest.mark.parametrize("i,j", [(5, 0), (0, -1)])
+    def test_rejects_exponents_outside_0_to_4(self, i, j):
+        with pytest.raises(ValueError, match="moment order"):
+            bi_moment_closed(i, j, _params(3, 3), 0.5, 0.5)
 
     @pytest.mark.parametrize("pq1,pq2", EXACT_PAIRS)
     def test_central_moment_remark_identities(self, pq1, pq2):
