@@ -18,20 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .functions import monomial_2d
-from .pq_core import PQPair
+from .pq_core import Number, PQPair
 from .univariate import (
     basis_row,
     basis_row_exact,
     nodes,
     uni_moment_closed,
 )
-
-Number = Union[int, float, Fraction]
 
 __all__ = [
     "BiParams",
@@ -173,12 +171,22 @@ def bi_apply_grid(
 ) -> np.ndarray:
     """Operator values on a grid, as W1^T F W2 (fast sweep path).
 
-    Returns an array of shape (len(xs), len(ys)).
+    Returns an array of shape (len(xs), len(ys)).  Every value must be
+    finite: f near the double range can overflow in the product, as the
+    weights sum to 1 only up to rounding, and the first non-finite value
+    raises ValueError naming f and the lattice point.
     """
     W1 = np.ascontiguousarray(basis_row(params.n, xs, params.pq1).T)
     W2 = np.ascontiguousarray(basis_row(params.m, ys, params.pq2).T)
     F = _eval_grid(f, nodes(params.n, params.pq1.floats()), nodes(params.m, params.pq2.floats()))
-    return W1.T @ F @ W2
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = W1.T @ F @ W2
+    bad = ~np.isfinite(B)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        name = getattr(f, "name", None) or getattr(f, "__name__", "f")
+        raise ValueError(f"B {name} is not finite at the lattice point ({xs[i]}, {ys[j]}): {B[i, j]}")
+    return B
 
 
 # the six Korovkin test monomials e_ij(x, y) = x^i y^j, 0 <= i+j <= 2, as
@@ -203,12 +211,11 @@ def bi_moment_closed(i: int, j: int, params: BiParams, x: Number, y: Number) -> 
 
 @dataclass
 class KorovkinRow:
-    """Sup-errors at one degree pair: ``sup_error`` for f, and
+    """Sup-errors at one degree n = m: ``sup_error`` for f, and
     ``test_errors`` for each Korovkin monomial x^i y^j, keyed f"e{i}{j}"
     in the order of KOROVKIN_EXPONENTS."""
 
     n: int
-    m: int
     sup_error: float
     test_errors: dict[str, float] = field(default_factory=dict)
 
@@ -244,5 +251,5 @@ def korovkin_experiment(
         pq = schedule.pair(n)
         params = BiParams(pq, pq, n, n)
         errs = {f"e{i}{j}": sup_error(monomial_2d(i, j), params) for i, j in KOROVKIN_EXPONENTS}
-        rows.append(KorovkinRow(n=n, m=n, sup_error=sup_error(f, params), test_errors=errs))
+        rows.append(KorovkinRow(n=n, sup_error=sup_error(f, params), test_errors=errs))
     return rows

@@ -204,12 +204,6 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
             chunk.close()
 
 
-def _schedule(name: str):
-    if name not in SCHEDULES:
-        raise ValueError(f"unknown schedule {name!r}; choose from {sorted(SCHEDULES)}")
-    return SCHEDULES[name]
-
-
 def _degrees(text: str) -> list[int]:
     """The degrees of a schedule-based command; every schedule starts at _N_MIN."""
     bad = ValueError(f"--degrees must be a comma-separated list of integers >= {_N_MIN}, got {text!r}")
@@ -291,9 +285,9 @@ def cmd_central_moments(args) -> int:
 
 def cmd_korovkin(args) -> int:
     tf = resolve_function(args.f)
-    table = korovkin_experiment(tf.fn, _schedule(args.schedule), _degrees(args.degrees), args.grid)
+    table = korovkin_experiment(tf.fn, SCHEDULES[args.schedule], _degrees(args.degrees), args.grid)
     tests = list(table[0].test_errors)  # e00, e10, e01, e11, e20, e02
-    rows = [[r.n, r.m, r.sup_error, *r.test_errors.values()] for r in table]
+    rows = [[r.n, r.n, r.sup_error, *r.test_errors.values()] for r in table]
     _emit(args, ["n", "m", "sup_error", *tests], rows, "korovkin")
     return 0
 
@@ -305,7 +299,7 @@ def cmd_certify(args) -> int:
     else:
         functions = [resolve_function(args.f)]
     sched_names = sorted(SCHEDULES) if args.schedule == "all" else [args.schedule]
-    schedules = [_schedule(s) for s in sched_names]
+    schedules = [SCHEDULES[s] for s in sched_names]
     certs, skipped = certification_sweep(
         theorems, functions, schedules, _degrees(args.degrees), args.grid
     )
@@ -347,7 +341,7 @@ def cmd_certify(args) -> int:
 
 def cmd_voronovskaja(args) -> int:
     tf = resolve_function(args.f)
-    sched = _schedule(args.schedule)
+    sched = SCHEDULES[args.schedule]
     bad = ValueError(f"--point must be 'x,y' with x and y in [0, 1], got {args.point!r}")
     try:
         x, y = (float(t) for t in args.point.split(","))

@@ -18,6 +18,7 @@ rather than producing NaN/Inf silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -79,7 +80,7 @@ class Num(Expr):
 
     def dump(self) -> str:
         v = self.value
-        if v == int(v):
+        if math.isfinite(v) and v == int(v):
             return f"Num({int(v)})"
         return f"Num({v!r})"
 

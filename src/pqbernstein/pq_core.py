@@ -18,6 +18,10 @@ the parameter pair:
   Binomial coefficients go through the log domain of the reduced
   brackets so they stay usable for degrees of several hundred.
 
+Routines start their sums and products from ``PQPair.one``, so the pair
+alone sets the mode; where points enter too, ``is_exact(pq, *values)``
+sends any float point down the float path.
+
 The summation form of ``[n]`` is used everywhere instead of the quotient
 (p^n - q^n)/(p - q): the quotient cancels catastrophically as q -> p.
 """
@@ -69,6 +73,13 @@ class PQPair:
         )
 
     @property
+    def one(self) -> Number:
+        """1 in the pair's arithmetic: Fraction(1) for an exact pair, else
+        1.0.  Sums and products start from it, so even a unit returned
+        as is ([0]!, the e_0 moment) has the pair's type."""
+        return Fraction(1) if self.is_exact else 1.0
+
+    @property
     def ratio(self) -> Number:
         """q/p, the single parameter the float path reduces to (a Fraction
         for an exact pair: Fraction and int division is exact)."""
@@ -98,26 +109,15 @@ def is_exact(pq: PQPair, *values) -> bool:
     return pq.is_exact and all(isinstance(v, (Fraction, int)) for v in values)
 
 
-def _zero(pq: PQPair) -> Number:
-    return Fraction(0) if pq.is_exact else 0.0
-
-
-def _one(pq: PQPair) -> Number:
-    return Fraction(1) if pq.is_exact else 1.0
-
-
 def pq_integer(n: int, pq: PQPair) -> Number:
     """[n]_{p,q} via the summation form; [n] = 0 for n <= 0.
 
     The extension to nonpositive n (empty sum) keeps moment formulas
     containing [n-2], [n-3] total for small degrees.
     """
-    if n <= 0:
-        return _zero(pq)
     p, q = pq.p, pq.q
-    if pq.is_exact:
-        return sum((Fraction(p) ** (n - 1 - i)) * (Fraction(q) ** i) for i in range(n))
-    return math.fsum(p ** (n - 1 - i) * q**i for i in range(n))
+    terms = (p ** (n - 1 - i) * q**i for i in range(n))
+    return sum(terms, 0 * pq.one) if pq.is_exact else math.fsum(terms)
 
 
 def bracket_values(n: int, pq: PQPair) -> list:
@@ -125,8 +125,8 @@ def bracket_values(n: int, pq: PQPair) -> list:
     which at the reduced pair is [i]_r = r*[i-1]_r + 1.  A float [i] on a
     raw pair may underflow to 0, and every later one with it."""
     p, q = pq.p, pq.q
-    out = [_zero(pq)]
-    ppow = _one(pq)
+    out = [0 * pq.one]
+    ppow = pq.one
     for _ in range(n):
         out.append(q * out[-1] + ppow)
         ppow *= p
@@ -141,7 +141,7 @@ def pq_factorials(n: int, pq: PQPair) -> list:
     br = bracket_values(n, pq)
     if n > 0 and not br[n]:  # a zero bracket makes every later one zero
         raise FloatRangeError(f"[{br.index(0, 1)}]_{{p,q}} underflows to 0")
-    out = [_one(pq)]
+    out = [pq.one]
     for v in br[1:]:
         out.append(out[-1] * v)
     return out
@@ -170,7 +170,7 @@ def pq_binomials(n: int, pq: PQPair) -> list:
         raise ValueError(f"binomial undefined for n={n}")
     if pq.is_exact:
         br = bracket_values(n, pq)
-        out = [Fraction(1)]
+        out = [pq.one]
         for k in range(n):
             out.append(out[-1] * br[n - k] / br[k + 1])
         return out
@@ -197,10 +197,9 @@ def pq_binomial_expansion_check(
     """
     if n > 20:
         raise ValueError("expansion check is a test utility; use n <= 20")
-    exact = is_exact(pq, a, b, x, y)
     p, q = pq.p, pq.q
 
-    lhs = Fraction(0) if exact else 0.0
+    lhs = 0 * pq.one
     for k, binom in enumerate(pq_binomials(n, pq)):
         term = (
             p ** math.comb(n - k, 2)
@@ -213,11 +212,11 @@ def pq_binomial_expansion_check(
         )
         lhs += term
 
-    rhs = Fraction(1) if exact else 1.0
+    rhs = pq.one
     for s in range(n):
         rhs *= (p**s) * a * x + (q**s) * b * y
 
-    if exact:
+    if is_exact(pq, a, b, x, y):
         return lhs == rhs
     return math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-14)
 

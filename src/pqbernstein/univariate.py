@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .pq_core import (
     FloatRangeError,
+    Number,
     PQPair,
     bracket_values,
     is_exact,
@@ -42,8 +43,6 @@ from .pq_core import (
     pq_binomials,
     pq_integer,
 )
-
-Number = Union[int, float, Fraction]
 
 __all__ = [
     "nodes",
@@ -158,16 +157,13 @@ def _moment_terms(i: int, n: int, pq: PQPair) -> list:
     them circulates but fails the oracle (see the tests and the
     ``selftest`` report).
     """
-    one = Fraction(1) if pq.is_exact else 1.0
     if i in (0, 1):  # e_0 and e_1 need no brackets
-        return [one] * i
+        return [pq.one] * i
     p, q = pq.p, pq.q
     br = bracket_values(max(n, 1), pq)
 
-    def b(m: int):
-        if m <= 0:
-            return one * 0
-        return br[m]
+    def b(m: int):  # [m] = [0] = 0 for m <= 0
+        return br[max(m, 0)]
 
     N = b(n)
     if i == 2:
@@ -200,16 +196,13 @@ def uni_moment_closed(i: int, n: int, x: Number, pq: PQPair) -> Number:
         raise ValueError(f"moment order must be in 0..4, got {i}")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    one = Fraction(1) if is_exact(pq, x) else 1.0
-    if not isinstance(one, Fraction):
-        pq = pq.reduced()
-        x = float(x)
+    if not is_exact(pq, x):
+        pq, x = pq.reduced(), float(x)
     if i == 0:
-        return one
-    terms = _moment_terms(i, n, pq)
-    acc = one * 0
-    xp = one
-    for c in terms:
+        return pq.one
+    acc = 0 * pq.one
+    xp = pq.one
+    for c in _moment_terms(i, n, pq):
         xp = xp * x
         acc += c * xp
     return acc
@@ -230,13 +223,12 @@ def uni_central_moment(r: int, n: int, x: Number, pq: PQPair) -> Number:
         raise ValueError(f"central moment order must be 2 or 4, got {r}")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    exact = is_exact(pq, x)
-    if not exact:
+    if not is_exact(pq, x):
         pq = pq.reduced()
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     if r == 2:
         return pq.p ** (n - 1) / bracket_values(n, pq)[n] * (x - x * x)
-    acc = Fraction(0) if exact else 0.0
+    acc = 0 * pq.one
     for j in range(5):
         acc += math.comb(4, j) * (-x) ** (4 - j) * uni_moment_closed(j, n, x, pq)
     return acc

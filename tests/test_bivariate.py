@@ -326,6 +326,15 @@ class TestBiApplySums:
             bi_apply(from_expression("exp(1000*x)").fn, params, 0.5, 0.5)
         with pytest.raises(ValueError, match="not finite"):
             bi_apply_grid(lambda s, t: math.inf if s > 0.5 else s, params, [0.5], [0.5])
+        # finite at every node, but the weights sum to 1 only up to rounding
+        lattice = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"e308 is not finite at the lattice point \("):
+            bi_apply_grid(
+                from_expression("1.7976931348623157e308").fn,
+                _params(4, 4, pq2=PQPair(0.8, 0.7)),
+                lattice,
+                lattice,
+            )
 
 
 class TestEvalGrid:

@@ -466,6 +466,11 @@ class TestExitCodes:
             ["voronovskaja", "--f", "lip_half"],
             ["central-moments", "--n", "0", "--p", "0.9", "--q", "0.6"],
             ["central-moments", "--n", "-2", "--p", "0.9", "--q", "0.6"],
+            # f finite at every node, B f overflowing on the lattice
+            ["eval", "--f", "1.7976931348623157e308", "--n", "20", "--m", "20", "--grid", "4"],
+            ["korovkin", "--f", "1.7976931348623157e308*x", "--degrees", "8,16"],
+            ["certify", "--f", "1.7976931348623157e308", "--theorem", "complete-modulus",
+             "--schedule", "i", "--degrees", "16", "--grid", "10"],
             *bad_degrees,
             *bad_points,
             ["nonsense"],

@@ -69,6 +69,12 @@ def test_invalid_offset_and_message(source, offset, text):
     assert str(exc.value) == text
 
 
+def test_dump_of_a_literal_beyond_the_double_range():
+    # the literal parses to inf, which has no int form to print
+    assert parse_expr("1e999").dump() == "Num(inf)"
+    assert parse_expr("-1e999*x").dump() == "Mul(Neg(Num(inf)), Var(x))"
+
+
 class TestEvaluation:
     def test_spot_values(self):
         assert parse_expr("x^2 + y^2").eval(0.5, 0.5) == pytest.approx(0.5)

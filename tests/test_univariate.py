@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from pqbernstein.bivariate import SCHEDULES
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_core import (
+    PQPair,
+    bracket_values,
+    pq_binomials,
+    pq_factorials,
+    pq_integer,
+)
 from pqbernstein.univariate import (
     basis_row,
     basis_row_exact,
@@ -246,6 +252,51 @@ class TestReducedPair:
                 for i in range(5):
                     assert uni_moment_closed(i, n, x, pq) == uni_moment_closed(i, n, x, unit)
                 assert uni_central_moment(2, n, x, pq) == uni_central_moment(2, n, x, unit)
+
+
+class TestArithmeticRule:
+    """The pair gives the unit: an exact pair with exact points gives
+    Fractions, never an int, even where a unit is returned unchanged
+    ([0]!, [0], the e_0 moment); a float pair or a float point gives
+    floats."""
+
+    N = 6
+
+    def pair_results(self, pq):
+        n = self.N
+        return [
+            *(pq_integer(k, pq) for k in (-1, 0, 1, n)),
+            *bracket_values(n, pq),
+            *pq_factorials(n, pq),
+            *pq_binomials(n, pq),
+        ]
+
+    def point_results(self, pq, x):
+        return [
+            *(uni_moment_closed(i, self.N, x, pq) for i in range(5)),
+            *(uni_central_moment(r, self.N, x, pq) for r in (2, 4)),
+        ]
+
+    # p = 1 as an int is an exact pair too
+    @pytest.mark.parametrize("pq", [*EXACT_PAIRS, PQPair(1, Fraction(1, 2))])
+    def test_exact_pair_gives_fractions(self, pq):
+        values = [*self.pair_results(pq), *nodes(self.N, pq)]
+        for x in (0, 1, Fraction(1, 3)):
+            values += self.point_results(pq, x)
+        assert all(type(v) is Fraction for v in values)
+        # a float point takes the float route at an exact pair
+        assert all(type(v) is float for v in self.point_results(pq, 0.25))
+
+    def test_float_pair_gives_floats(self):
+        pq = PQPair(0.9, 0.6)
+        values = self.pair_results(pq)
+        for x in (0, 1, 0.25, Fraction(1, 3)):
+            values += self.point_results(pq, x)
+        assert all(type(v) is float for v in values)
+        nds = nodes(self.N, pq)
+        assert isinstance(nds, np.ndarray) and nds.dtype == float
+        delta2 = uni_central_moment(2, self.N, np.array([0.0, 0.25, 1.0]), pq)
+        assert isinstance(delta2, np.ndarray) and delta2.dtype == float
 
 
 class TestCentralMoments:
