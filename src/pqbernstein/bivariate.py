@@ -158,12 +158,19 @@ def _eval_grid(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             F = np.ascontiguousarray(np.broadcast_to(F, shape))
         except (TypeError, ValueError):
             F = np.array([[float(f(a, b)) for b in ys] for a in xs])
-    finite = np.isfinite(F)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        name = getattr(f, "name", None) or getattr(f, "__name__", "f")
-        raise ValueError(f"{name} is not finite at the node ({xs[i]}, {ys[j]}): {F[i, j]}")
+    _require_finite(F, xs, ys, f"{_name(f)} is not finite at the node")
     return F
+
+
+def _name(f: Callable) -> str:
+    return getattr(f, "name", None) or getattr(f, "__name__", "f")
+
+
+def _require_finite(A: np.ndarray, xs: Sequence[float], ys: Sequence[float], what: str) -> None:
+    """Raise ValueError "{what} (xs[i], ys[j]): A[i, j]" at the first non-finite A[i, j]."""
+    if not np.isfinite(A).all():
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"{what} ({xs[i]}, {ys[j]}): {A[i, j]}")
 
 
 def bi_apply_grid(
@@ -181,11 +188,7 @@ def bi_apply_grid(
     F = _eval_grid(f, nodes(params.n, params.pq1.floats()), nodes(params.m, params.pq2.floats()))
     with np.errstate(over="ignore", invalid="ignore"):
         B = W1.T @ F @ W2
-    bad = ~np.isfinite(B)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        name = getattr(f, "name", None) or getattr(f, "__name__", "f")
-        raise ValueError(f"B {name} is not finite at the lattice point ({xs[i]}, {ys[j]}): {B[i, j]}")
+    _require_finite(B, xs, ys, f"B {_name(f)} is not finite at the lattice point")
     return B
 
 
@@ -233,7 +236,9 @@ def abs_error_grid(f: Callable, params: BiParams, grid: int) -> np.ndarray:
     entry [i, j] is at (xs[i], xs[j]) with xs = linspace(0, 1, grid+1)."""
     _check_grid(grid)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    return np.abs(bi_apply_grid(f, params, xs, xs) - _eval_grid(f, xs, xs))
+    B, F = bi_apply_grid(f, params, xs, xs), _eval_grid(f, xs, xs)
+    with np.errstate(over="ignore"):  # an overflow gives inf: _emit and _certificate reject it
+        return np.abs(B - F)
 
 
 def korovkin_experiment(

@@ -14,7 +14,8 @@ more than one x-line of text.
 
 Exit codes: 0 success, 1 bound-certificate or selftest failure,
 2 usage/validation error, including arithmetic the float path cannot
-carry out for the given parameters.
+carry out for the given parameters and a table value outside the double
+range: no table is printed with a nan or infinite cell.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .bivariate import (
     BiParams,
     SCHEDULES,
     _eval_grid,
+    _require_finite,
     bi_apply_exact,
     bi_apply_grid,
     bi_moment_closed,
@@ -99,7 +101,16 @@ def _fmt(v) -> str:
 
 
 def _emit(args, columns: list[str], rows: list[list] | Grid, command: str) -> None:
-    """Write one table as CSV or JSON to ``--out``."""
+    """Write one table as CSV or JSON to ``--out``; before it is opened, a
+    float cell that is not finite raises ValueError naming its column and row."""
+    if isinstance(rows, Grid):
+        for column, plane in zip(columns[2:], rows.planes):
+            _require_finite(plane, rows.xs, rows.ys, f"{command}: {column} is not finite at x, y =")
+    else:
+        for k, row in enumerate(rows, 1):
+            for column, v in zip(columns, row):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{command}: {column} is not finite in row {k}: {v}")
     if args.out == "-":
         _write(sys.stdout, args, columns, rows, command)
     else:
@@ -142,8 +153,8 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
 
     Each coordinate is formatted once: the y cells before the first
     x-line, and each x into the row template of its x-line.  A CSV cell
-    is "%.17g", which prints every double (nan, inf and -0 too) as _fmt
-    does and never a comma, quote or newline, so no cell needs quoting.
+    is "%.17g", which prints every finite double (-0 too) as _fmt does
+    and never a comma, quote or newline, so no cell needs quoting.
     A JSON cell is float.__repr__ ("%r"), as json writes it.
 
     The x-lines are split into contiguous chunks, one per CPU but none
@@ -167,8 +178,6 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
         for i in range(lo, hi):
             values = zip(ystr, *(plane[i].tolist() for plane in grid.planes))
             text = sep.join(map(row.format(fmt % xs[i]).__mod__, values))
-            if as_json:  # json spells the non-finite doubles NaN, Infinity and -Infinity
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
             out.write(sep + text if i else text)  # a chunk after the first starts with sep
 
     chunks = max(1, min(_cpus(), len(xs) // _MIN_CHUNK_LINES))
@@ -245,7 +254,9 @@ def cmd_eval(args) -> int:
     xs = np.linspace(0.0, 1.0, args.grid + 1)
     B = bi_apply_grid(tf.fn, params, xs, xs)
     F = _eval_grid(tf.fn, xs, xs)
-    _emit(args, ["x", "y", "f", "Bf", "abs_err"], Grid(xs, xs, (F, B, np.abs(B - F))), "eval")
+    with np.errstate(over="ignore"):  # an overflow gives inf, which _emit rejects
+        E = np.abs(B - F)
+    _emit(args, ["x", "y", "f", "Bf", "abs_err"], Grid(xs, xs, (F, B, E)), "eval")
     return 0
 
 

@@ -509,9 +509,17 @@ def _certificate(
 ) -> BoundCertificate:
     """One theorem's certificate, given its hypothesis constants (from
     ``_check_hypothesis``), the function's tables and the shared gap."""
-    sharp, cons = _bounds(theorem_id, constants, table, gap.dn2, gap.dm2)
-    rhs, rhs_cons = (b.item() for b in _bounds(theorem_id, constants, table, *gap.sup2))
+    # out-of-range ladders and bounds give inf or nan: a nan node fails its
+    # test, and a non-finite lhs or rhs raises below (inf <= inf would pass)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sharp, cons = _bounds(theorem_id, constants, table, gap.dn2, gap.dm2)
+        rhs, rhs_cons = (b.item() for b in _bounds(theorem_id, constants, table, *gap.sup2))
     lhs = float(np.max(gap.err))
+    if not all(map(math.isfinite, (lhs, rhs, rhs_cons))):
+        raise ValueError(
+            f"{theorem_id} f={tf.name} schedule={schedule_name} n={gap.params.n} "
+            f"m={gap.params.m}: lhs={lhs} rhs={rhs} rhs_conservative={rhs_cons} are not all finite"
+        )
     return BoundCertificate(
         theorem_id=theorem_id,
         f_name=tf.name,
@@ -538,7 +546,8 @@ def certify_bound(
     """Certify one theorem bound for one function at one degree pair.
 
     Raises HypothesisError when the function verifiably fails the
-    theorem's hypothesis class (Lipschitz membership, C^1 smoothness).
+    theorem's hypothesis class (Lipschitz membership, C^1 smoothness),
+    and ValueError when lhs or a bound is not finite.
     """
     constants = _check_hypothesis(theorem_id, tf)
     return _certificate(

@@ -138,10 +138,22 @@ def _reference_csv(columns, rows) -> str:
 
 
 def _main_stdout(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    return out.getvalue()
+    code, out, err = _run_main(argv)
+    assert code == 0, err
+    return out
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv) in this process, where an
+    argparse error is its SystemExit code.  pytest turns any RuntimeWarning
+    into an error, so a numpy warning fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -196,11 +208,12 @@ class TestFloatTableBytes:
     @staticmethod
     def _special_grids():
         """(columns, grid, rows): grids whose value planes hold the special
-        doubles, with rows the same table as lists, x outer."""
+        finite doubles, with rows the same table as lists, x outer."""
         values = [
-            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+            0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308,
             2.225073858507201e-308,  # the largest subnormal
-            1e16, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0, -1e-17,
+            1e16, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300,
+            0.1, 1 / 3, 123456789012345678.0, -1e-17,
         ]
         V = np.array(values + [1.0]).reshape(3, 5)
         xs, ys = np.array([0.0, 0.1, 1.0]), np.array([0.0, 1 / 3, 0.5, 0.7, 1.0])
@@ -256,6 +269,27 @@ class TestFloatTableBytes:
             fh = io.StringIO()
             cli._write(fh, argparse.Namespace(json=False), columns, grid, "t")
             assert fh.getvalue() == _reference_csv(columns, rows), (grid.xs.size, grid.ys.size)
+
+    def test_non_finite_cell_is_rejected_before_any_byte(self, tmp_path, capsys):
+        # every table leaves through _emit: a nan or infinite float cell
+        # raises, naming the command, the column and the row or point,
+        # before stdout or an existing --out file sees a byte
+        out = tmp_path / "table.txt"
+        xs, ys = np.array([0.0, 0.5]), np.array([0.0, 0.25, 1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            F, V = np.zeros((2, 3)), np.zeros((2, 3))
+            V[1, 2] = bad
+            for columns, table, where in (
+                (["x", "y", "f", "err"], cli.Grid(xs, ys, (F, V)), "at x, y = (0.5, 1.0)"),
+                (["name", "k", "err"], [["a", 1, 0.5], ["b", 2, bad]], "in row 2"),
+            ):
+                for dest, as_json in ((d, j) for d in ("-", str(out)) for j in (False, True)):
+                    out.write_text("before\n")
+                    with pytest.raises(ValueError) as exc:
+                        cli._emit(argparse.Namespace(json=as_json, out=dest), columns, table, "t")
+                    assert str(exc.value) == f"t: err is not finite {where}: {bad}"
+                    assert capsys.readouterr().out == ""
+                    assert out.read_text() == "before\n"
 
     def test_out_file_equals_stdout(self, tmp_path):
         argv = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
@@ -471,21 +505,27 @@ class TestExitCodes:
             ["korovkin", "--f", "1.7976931348623157e308*x", "--degrees", "8,16"],
             ["certify", "--f", "1.7976931348623157e308", "--theorem", "complete-modulus",
              "--schedule", "i", "--degrees", "16", "--grid", "10"],
+            # B f and f finite, |B f - f| (and certify's modulus ladder) overflowing
+            ["eval", "--f", "1.7e308*cos(40*x)", "--n", "4", "--m", "4", "--grid", "10"],
+            ["korovkin", "--f", "1.7e308*cos(40*x)", "--degrees", "4,8"],
+            ["certify", "--f", "1.7e308*cos(40*x)", "--theorem", "complete-modulus",
+             "--schedule", "i", "--degrees", "4", "--grid", "10"],
             *bad_degrees,
             *bad_points,
             ["nonsense"],
         ):
-            res = run_cli(argv)
-            assert res.returncode == 2, argv
-            assert "Traceback" not in res.stderr, argv
+            code, out, err = _run_main(argv)
+            assert code == 2, argv
+            assert out == "", (argv, out)
+            assert "Traceback" not in err, argv
             if argv != ["nonsense"]:  # argparse prints its usage first
                 # one line: no traceback and no numpy warnings
-                assert res.stderr.startswith("error: "), (argv, res.stderr)
-                assert res.stderr.count("\n") == 1, (argv, res.stderr)
+                assert err.startswith("error: "), (argv, err)
+                assert err.count("\n") == 1, (argv, err)
             if argv in bad_degrees:  # the line names the option
-                assert "--degrees" in res.stderr, (argv, res.stderr)
+                assert "--degrees" in err, (argv, err)
             if argv in bad_points:
-                assert "--point" in res.stderr, (argv, res.stderr)
+                assert "--point" in err, (argv, err)
         # valid pairs whose printed raw-pair values leave the double range:
         # the one line names the options, the column and the quantity
         tiny = ["--p", "1e-300", "--q", "1e-301"]
@@ -515,9 +555,9 @@ class TestExitCodes:
                 "display_A_form: [512]_{p,q}^3 underflows to 0",
             ),
         ):
-            res = run_cli(argv)
-            assert res.returncode == 2, argv
-            assert res.stderr == f"error: --p/--q: {quantity} on the float path\n", argv
+            code, _, err = _run_main(argv)
+            assert code == 2, argv
+            assert err == f"error: --p/--q: {quantity} on the float path\n", argv
 
     def test_moments_of_extreme_pairs_compute(self):
         # the moments are ratios homogeneous in (p,q), evaluated at (1, q/p),
@@ -611,7 +651,10 @@ def _opt(flag, values):
 
 _FN = _opt("--f", _mix(
     st.sampled_from(sorted(CORPUS) + ["x^2+y^2", "sin(pi*x)*y", "x", "1", "abs(x-0.5)"]),
-    ["1/x", "sqrt(x-0.5)", "exp(1000*x)", "x +", "max(x,", "foo(x)", "x^^2", "(x", ""],
+    [
+        "1/x", "sqrt(x-0.5)", "exp(1000*x)", "x +", "max(x,", "foo(x)", "x^^2", "(x", "",
+        "1.7e308*cos(40*x)",  # finite f and B f, overflowing |B f - f|
+    ],
 ))
 _DEGREES = _opt("--degrees", _mix(
     st.lists(st.integers(2, 24), min_size=2, max_size=3, unique=True).map(
@@ -674,10 +717,15 @@ def _valid_raw_pair(argv) -> bool:
     return n >= 1 and 0 < q < p <= 1
 
 
+def _no_json_constant(name):
+    raise AssertionError(f"a table printed the JSON constant {name}")
+
+
 @pytest.mark.parametrize("command", sorted(_OPTIONS))
 def test_main_exits_0_1_or_2_on_random_argv(command):
     """Nothing escapes main: the exit code is 0, 1 or 2, and a 2 that is
     not argparse's comes with exactly one stderr line 'error: ...'.  A
+    table printed with 0 or 1 has no nan or infinite cell.  A
     valid --n and --p/--q pair exits 2 only for a raw-pair value out of
     the double range, with the line naming --p/--q, and never in
     ``moments``.  About 100 argv in all: 13 per subcommand, 3 for the
@@ -689,15 +737,14 @@ def test_main_exits_0_1_or_2_on_random_argv(command):
         deadline=None, suppress_health_check=[HealthCheck.too_slow],
     )
     def check(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code, from_argparse = cli.main(argv), False
-            except SystemExit as exc:
-                code, from_argparse = exc.code, True
+        code, out, text = _run_main(argv)
         assert code in (0, 1, 2), (argv, code)
-        if code == 2 and not from_argparse:
-            text = err.getvalue()
+        if code in (0, 1) and "--json" in argv:
+            json.loads(out, parse_constant=_no_json_constant)
+        elif code in (0, 1):
+            cells = {cell for row in csv.reader(io.StringIO(out)) for cell in row}
+            assert not cells & {"nan", "inf", "-inf"}, (argv, out)
+        if code == 2 and not text.startswith("usage: "):  # argparse prints its usage first
             assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
             if command in ("pq", "moments", "central-moments") and _valid_raw_pair(argv):
                 assert command != "moments", (argv, text)

@@ -424,6 +424,16 @@ class TestCertificates:
             with pytest.raises(ValueError, match="11 points per axis"):
                 certification_sweep(THEOREMS, [CORPUS["quad"]], [SCHEDULES["i"]], [4], grid)
 
+    def test_non_finite_certificate_rejected(self):
+        # B f and f are finite, but |B f - f| overflows at 1.7e308, and at
+        # 0.6e308 the bounds do while lhs stays finite: inf <= inf must not
+        # pass, and no numpy warning may come first
+        for theorem in ("complete-modulus", "partial-moduli", "peetre-k"):
+            for scale in ("1.7e308", "0.6e308"):
+                tf = from_expression(f"{scale}*cos(40*x)")
+                with pytest.raises(ValueError, match=f"^{theorem} .* are not all finite$"):
+                    certify_bound(theorem, tf, _params(4, 4), grid=10)
+
     def test_hypothesis_rejection(self):
         with pytest.raises(HypothesisError):
             certify_bound("c1", CORPUS["vee"], _params())
