@@ -341,8 +341,8 @@ class ModulusTable:
         of ||f - g|| + delta ||g||_C2 over the mollification family."""
         d = _nonnegative(delta)
         best = np.full(d.shape, np.inf)
-        for dist, norm in self._k_pairs:
-            best = np.minimum(best, dist + d * norm)
+        for dist, norm in self._k_pairs:  # no delta ||g|| at delta = 0, where 0 * inf is nan
+            best = np.minimum(best, dist + np.multiply(d, norm, out=np.zeros_like(d), where=d > 0))
         return float(best) if d.ndim == 0 else best
 
 
@@ -377,11 +377,6 @@ def verify_lipschitz(f: Callable, spec: LipschitzSpec) -> tuple[bool, float]:
     return worst <= LIPSCHITZ_TOL, worst
 
 
-def _sup_partial_norms(tf: TargetFunction2D) -> tuple[float, float]:
-    xs = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
-    return tuple(float(np.max(np.abs(_eval_grid(g, xs, xs)))) for g in (tf.fx, tf.fy))
-
-
 def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
     """Verify tf against one theorem's hypothesis class and return the
     constants its bound takes from the class: the LipschitzSpec for
@@ -408,7 +403,8 @@ def _check_hypothesis(theorem_id: str, tf: TargetFunction2D):
     if theorem_id == "c1":
         if tf.fx is None or tf.fy is None:
             raise HypothesisError("c1-smoothness", f"{tf.name} is not registered as C^1")
-        return _sup_partial_norms(tf)
+        xs = np.linspace(0.0, 1.0, OMEGA_GRID + 1)
+        return tuple(_sup(_eval_grid(g, xs, xs)) for g in (tf.fx, tf.fy))
     return None
 
 
@@ -436,10 +432,13 @@ class BoundCertificate:
     lhs: float  # sup over the grid of |Bf - f|
     rhs: float  # uniform bound, primary form
     rhs_conservative: float
-    margin: float  # rhs_conservative - lhs
     pointwise_ok: bool
     passed: bool
     notes: str = ""
+
+    @property
+    def margin(self) -> float:
+        return self.rhs_conservative - self.lhs
 
 
 class _Gap(NamedTuple):
@@ -529,7 +528,6 @@ def _certificate(
         lhs=lhs,
         rhs=rhs,
         rhs_conservative=rhs_cons,
-        margin=rhs_cons - lhs,
         pointwise_ok=bool(np.all(gap.err <= sharp + PASS_SLACK)),
         # lhs <= cons node by node implies lhs <= rhs_cons, which no node's cons exceeds
         passed=bool(np.all(gap.err <= cons + PASS_SLACK)),

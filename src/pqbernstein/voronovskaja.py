@@ -15,7 +15,7 @@ Only a enters any limit; the schedule's b = lim q_n^n enters none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +47,16 @@ class AsymptoticTrace:
     degrees: list[int]
     scaled_values: list[float]
     predicted_limit: float
-    errors: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if list(self.degrees) != sorted(set(self.degrees)):
             raise ValueError("degrees must be strictly increasing")
         if len(self.scaled_values) != len(self.degrees):
             raise ValueError("scaled_values must match degrees")
-        if not self.errors:
-            self.errors = [abs(v - self.predicted_limit) for v in self.scaled_values]
+
+    @property
+    def errors(self) -> list[float]:
+        return [abs(v - self.predicted_limit) for v in self.scaled_values]
 
 
 def scaled_central_moment_limit_check(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_cli import SUBCOMMANDS, run_cli
+from test_cli import SUBCOMMANDS, _run_main, run_cli
 from test_expressions import INVALID_CASES, VALID_CASES
 
 from pqbernstein.bivariate import (
@@ -63,8 +63,8 @@ def test_criterion_1_univariate_moment_identities():
     ok = ok and elapsed < 10.0
     # the fourth-moment alternative-display discrepancy must be documented by
     # the selftest report
-    res = run_cli(["selftest"])
-    ok = ok and res.returncode == 0 and "documented-discrepancy" in res.stdout
+    code, out, _ = _run_main(["selftest"])
+    ok = ok and code == 0 and "documented-discrepancy" in out
     _report(
         1,
         f"uni moments e0..e4 strict rational equality, n<=12 ({elapsed:.1f}s)",
@@ -203,11 +203,13 @@ def test_criterion_8_parser_golden_suite_and_byte_stability():
         except ParseError as exc:
             if exc.offset != offset or str(exc) != text:
                 ok = False
+    # two interpreters per argv: a difference between processes, such as
+    # the string hash seed, cannot show in runs inside one process
     stable = True
     for name, argv in sorted(SUBCOMMANDS.items()):
         a = run_cli(argv)
         b = run_cli(argv)
-        if a.returncode != 0 or a.stdout.encode() != b.stdout.encode():
+        if a.returncode != 0 or b.returncode != 0 or a.stdout.encode() != b.stdout.encode():
             stable = False
     ok = ok and stable
     _report(8, "30-case parser golden suite; byte-stable CSV for every subcommand", ok)

@@ -62,6 +62,8 @@ SUBCOMMANDS = {
 
 
 def run_cli(args, env=None, **kw):
+    """A fresh ``python -m pqbernstein.cli`` child, for tests whose subject
+    is the process itself; every other test runs main in-process (_run_main)."""
     env = {**os.environ, **(env or {}), "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-m", "pqbernstein.cli", *args],
@@ -72,40 +74,54 @@ def run_cli(args, env=None, **kw):
     )
 
 
+def _run_main(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv) in this process, where an
+    argparse error is its SystemExit code.  pytest turns any RuntimeWarning
+    into an error, so a numpy warning fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_stdout(argv) -> str:
+    code, out, err = _run_main(argv)
+    assert code == 0, err
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_subcommand_succeeds_and_emits_csv(name):
-    res = run_cli(SUBCOMMANDS[name])
-    assert res.returncode == 0, res.stderr
-    lines = res.stdout.split("\n")
-    header = lines[0]
-    assert "," in header
+    header, *rows = csv.reader(io.StringIO(_main_stdout(SUBCOMMANDS[name])))
+    assert len(header) > 1
     # rectangular CSV: every data row has the header's column count
-    ncols = header.count(",") + 1
-    for line in lines[1:]:
-        if line:
-            assert line.count(",") >= ncols - 1
+    for row in rows:
+        assert len(row) == len(header), row
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_csv_byte_stable_across_runs(name):
-    first = run_cli(SUBCOMMANDS[name])
-    second = run_cli(SUBCOMMANDS[name])
-    assert first.returncode == second.returncode == 0
-    assert first.stdout.encode() == second.stdout.encode()
+    # two runs in one process: module state left by the first run (a cache,
+    # a global) must not move the second run's bytes
+    first = _main_stdout(SUBCOMMANDS[name])
+    second = _main_stdout(SUBCOMMANDS[name])
+    assert first.encode() == second.encode()
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_json_mirror_matches_csv(name):
-    csv_res = run_cli(SUBCOMMANDS[name])
-    json_res = run_cli([*SUBCOMMANDS[name], "--json"])
-    assert json_res.returncode == 0, json_res.stderr
-    doc = json.loads(json_res.stdout)
+    out = _main_stdout(SUBCOMMANDS[name])
+    doc = json.loads(_main_stdout([*SUBCOMMANDS[name], "--json"]))
     assert doc["schema_version"] == 1
     assert doc["command"] == name
-    header = csv_res.stdout.split("\n", 1)[0].split(",")
+    header, *rows = csv.reader(io.StringIO(out))
     assert doc["columns"] == header
-    n_csv_rows = len([l for l in csv_res.stdout.split("\n")[1:] if l])
-    assert len(doc["rows"]) == n_csv_rows
+    assert len(doc["rows"]) == len(rows)
+    for json_row, csv_row in zip(doc["rows"], rows):
+        assert [cli._fmt(v) for v in json_row] == csv_row
 
 
 def test_voronovskaja_bytes_do_not_depend_on_the_blas_thread_count():
@@ -120,9 +136,8 @@ def test_voronovskaja_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_out_file_written(tmp_path):
     out = tmp_path / "table.csv"
-    res = run_cli([*SUBCOMMANDS["pq"], "--out", str(out)])
-    assert res.returncode == 0
-    inline = run_cli(SUBCOMMANDS["pq"]).stdout
+    _main_stdout([*SUBCOMMANDS["pq"], "--out", str(out)])
+    inline = _main_stdout(SUBCOMMANDS["pq"])
     assert out.read_text() == inline
 
 
@@ -135,25 +150,6 @@ def _reference_csv(columns, rows) -> str:
     for row in rows:
         w.writerow([cli._fmt(v) for v in row])
     return fh.getvalue()
-
-
-def _main_stdout(argv) -> str:
-    code, out, err = _run_main(argv)
-    assert code == 0, err
-    return out
-
-
-def _run_main(argv) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of main(argv) in this process, where an
-    argparse error is its SystemExit code.  pytest turns any RuntimeWarning
-    into an error, so a numpy warning fails the caller."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -598,9 +594,8 @@ class TestExitCodes:
         assert "c1" in res.stderr
 
     def test_skipped_hypothesis_rows_fill_their_columns(self):
-        res = run_cli(["certify", "--f", "vee", "--schedule", "i", "--degrees", "4"])
-        assert res.returncode == 0, res.stderr
-        header, *rows = csv.reader(io.StringIO(res.stdout))
+        out = _main_stdout(["certify", "--f", "vee", "--schedule", "i", "--degrees", "4"])
+        header, *rows = csv.reader(io.StringIO(out))
         assert all(len(r) == len(header) for r in rows)
         skips = [dict(zip(header, r)) for r in rows if "skipped-hypothesis" in r]
         assert sorted(row["theorem"] for row in skips) == ["c1", "lipschitz"]
@@ -611,11 +606,10 @@ class TestExitCodes:
             assert all(row[column] == "" for column in empty)
 
     def test_full_certify_run_passes(self):
-        res = run_cli(
+        out = _main_stdout(
             ["certify", "--theorem", "all", "--f", "quad", "--schedule", "i", "--degrees", "4,8"]
         )
-        assert res.returncode == 0, res.stderr
-        assert "False" not in res.stdout.split("\n")[0]
+        assert "False" not in out.split("\n")[0]
 
 
 # --- random argv through main() ----------------------------------------------

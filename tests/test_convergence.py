@@ -378,6 +378,15 @@ class TestKSurrogate:
         val = ModulusTable(CORPUS["quad"].fn).peetre_k(0.01)
         assert val <= 0.01 * 20.0  # generous C^2-norm ceiling for x^2+y^2
 
+    def test_zero_delta_is_the_least_distance_when_every_norm_overflows(self):
+        # every mollified C^2 norm of f overflows to inf; K(f, 0) is still
+        # the sigma = 0 pair's distance, 0, and any delta > 0 gives inf
+        table = ModulusTable(lambda x, y: 0.6e308 * np.cos(40 * x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = table.peetre_k(np.array([0.0, 1e-3]))
+            assert all(math.isinf(norm) for _, norm in table._k_pairs)
+        assert vals.tolist() == [0.0, math.inf]
+
 
 class TestLipschitzVerification:
     def test_lip_half_fails_its_declared_class(self):
