@@ -7,10 +7,12 @@ One subcommand per analysis surface: ``pq`` (calculus primitives),
 ``--out`` (default stdout).  Floats are printed with 17 significant
 digits so output round-trips exactly; summation orders are fixed, so
 output is byte-stable across runs for a fixed configuration (``selftest``
-also takes ``--seed``).  ``eval`` formats its grid in contiguous chunks of
-x-lines across the process's CPUs, each chunk after the first in a forked
-child; the bytes do not depend on the CPU count, and no process holds
-more than one x-line of text.
+also takes ``--seed``).  Two commands run across the process's CPUs, in
+contiguous chunks, each chunk after the first in a forked child
+(``_in_forks``): ``eval`` formats its grid in chunks of x-lines, and no
+process holds more than one x-line of text; ``certify`` sweeps its
+functions in chunks, and a chunk whose child fails runs again in the
+parent.  The bytes, errors and exit codes do not depend on the CPU count.
 
 Exit codes: 0 success, 1 bound-certificate or selftest failure,
 2 usage/validation error, including arithmetic the float path cannot
@@ -25,15 +27,23 @@ import csv
 import json
 import math
 import os
+import pickle
 import random
 import shutil
 import signal
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+# OpenBLAS's helper threads spin for 2^28 cycles (about 0.1 s of a CPU)
+# after they start and after each threaded product before they sleep.  The
+# CLI's threaded products are few and large, so helpers that sleep at once
+# cost no wall time, and no process spends that CPU time on a second CPU.
+# OpenBLAS reads this when numpy loads it; a value already set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 import numpy as np
 
 from . import __version__
@@ -147,6 +157,49 @@ def _cpus() -> int:
     return 1
 
 
+def _in_forks(size: int, min_chunk: int, work, collect, **file_args) -> None:
+    """Split ``range(size)`` into contiguous chunks, one per CPU but none
+    shorter than ``min_chunk``, and run ``work(lo, hi, out)`` on each.
+
+    Each chunk after the first runs in a forked child, with ``out`` an
+    unlinked temporary file opened with ``file_args``; the child flushes
+    it and exits with status 0, or 1 if ``work`` raised.  This process
+    runs the first chunk with ``out`` None, then reaps the children in
+    order and calls ``collect(lo, hi, pid, status, out)`` for each, with
+    ``out`` rewound.  However this returns or raises, every child has
+    been reaped: one still running is killed first.
+    """
+    chunks = max(1, min(_cpus(), size // min_chunk))
+    ends = [size * k // chunks for k in range(chunks + 1)]
+    pids, files = [], []  # the children not yet reaped; every child's file
+    try:
+        for lo, hi in zip(ends[1:], ends[2:]):
+            files.append(tempfile.TemporaryFile(**file_args))
+            pid = os.fork()
+            if pid == 0:  # the child leaves here: no atexit, no parent buffer, no traceback
+                status = 1
+                try:
+                    work(lo, hi, files[-1])
+                    files[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        work(ends[0], ends[1], None)
+        for lo, hi, out in zip(ends[1:], ends[2:], files):
+            pid = pids[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[0]
+            out.seek(0)
+            collect(lo, hi, pid, status, out)
+    finally:
+        for pid in pids:  # left only when this process failed first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for out in files:
+            out.close()
+
+
 def _write_grid(fh, grid: Grid, as_json: bool) -> None:
     """Write the rows of ``grid``, one x-line per write, as CSV rows or as
     the rows of ``json.dump(..., indent=2)``.
@@ -157,13 +210,11 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
     and never a comma, quote or newline, so no cell needs quoting.
     A JSON cell is float.__repr__ ("%r"), as json writes it.
 
-    The x-lines are split into contiguous chunks, one per CPU but none
-    shorter than _MIN_CHUNK_LINES.  Each chunk after the first is
-    formatted by a forked child into an unlinked temporary file while
-    this process writes the first chunk to ``fh``; the children are then
-    reaped in order and their files copied to ``fh``.  One chunk is the
-    same loop with no child, so the bytes do not depend on the CPU
-    count, and no process holds more than one x-line of text.
+    The x-lines are formatted in chunks of at least _MIN_CHUNK_LINES
+    across the CPUs (_in_forks): this process writes the first chunk to
+    ``fh``, and copies each child's file to ``fh`` in order.  One chunk
+    is the same loop with no child, so the bytes do not depend on the
+    CPU count, and no process holds more than one x-line of text.
     """
     fmt, sep = ("%r", ",") if as_json else ("%.17g", "")
     cells = ["{}", "%s"] + [fmt] * len(grid.planes)
@@ -180,37 +231,20 @@ def _write_grid(fh, grid: Grid, as_json: bool) -> None:
             text = sep.join(map(row.format(fmt % xs[i]).__mod__, values))
             out.write(sep + text if i else text)  # a chunk after the first starts with sep
 
-    chunks = max(1, min(_cpus(), len(xs) // _MIN_CHUNK_LINES))
-    ends = [len(xs) * k // chunks for k in range(1, chunks + 1)]
-    pids, files = [], []  # the children not yet reaped; every child's file
-    try:
-        for lo, hi in zip(ends, ends[1:]):
-            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            pid = os.fork()
-            if pid == 0:  # the child leaves here: no atexit, no parent buffer, no traceback
-                status = 1
-                try:
-                    write_lines(files[-1], lo, hi)
-                    files[-1].flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        write_lines(fh, 0, ends[0])
-        for chunk in files:
-            pid = pids[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pids[0]
-            if status:
-                raise OSError(f"grid writer process {pid} exited with status {status}")
-            chunk.seek(0)
-            shutil.copyfileobj(chunk, fh)
-    finally:
-        for pid in pids:  # left only when this process failed first
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for chunk in files:
-            chunk.close()
+    def copy_out(lo: int, hi: int, pid: int, status: int, chunk) -> None:
+        if status:
+            raise OSError(f"grid writer process {pid} exited with status {status}")
+        shutil.copyfileobj(chunk, fh)
+
+    _in_forks(
+        len(xs),
+        _MIN_CHUNK_LINES,
+        lambda lo, hi, out: write_lines(fh if out is None else out, lo, hi),
+        copy_out,
+        mode="w+",
+        encoding="utf-8",
+        newline="",
+    )
 
 
 def _degrees(text: str) -> list[int]:
@@ -311,9 +345,30 @@ def cmd_certify(args) -> int:
         functions = [resolve_function(args.f)]
     sched_names = sorted(SCHEDULES) if args.schedule == "all" else [args.schedule]
     schedules = [SCHEDULES[s] for s in sched_names]
-    certs, skipped = certification_sweep(
-        theorems, functions, schedules, _degrees(args.degrees), args.grid
-    )
+    degrees = _degrees(args.degrees)
+    parts = []  # (certs, skipped) of each chunk of functions, in order
+
+    def sweep(lo: int, hi: int):
+        return certification_sweep(theorems, functions[lo:hi], schedules, degrees, args.grid)
+
+    def work(lo: int, hi: int, out) -> None:
+        if out is None:
+            parts.append(sweep(lo, hi))
+        else:  # a warning fails the child, so that this process prints it in order
+            warnings.simplefilter("error")
+            pickle.dump(sweep(lo, hi), out)
+
+    def collect(lo: int, hi: int, pid: int, status: int, out) -> None:
+        # a failed child's chunk runs again here: its error, if any, is the
+        # one a single process raises, since every earlier chunk passed
+        parts.append(sweep(lo, hi) if status else pickle.load(out))
+
+    _in_forks(len(functions), 1, work, collect)
+    # sorted() is stable, and the chunks are in function order, so this is
+    # certification_sweep's theorem, function, schedule, degree order
+    rank = {theorem: k for k, theorem in enumerate(theorems)}
+    certs = sorted((c for part in parts for c in part[0]), key=lambda c: rank[c.theorem_id])
+    skipped = sorted((s for part in parts for s in part[1]), key=lambda s: rank[s[0]])
     # a single explicitly requested theorem/function combination that fails
     # its hypothesis is a usage error, not a sweep skip
     if skipped and args.theorem != "all" and args.f != "all":

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pqbernstein
-from pqbernstein import cli
+from pqbernstein import cli, convergence
 from pqbernstein.bivariate import BiParams, _eval_grid, bi_apply_grid
 from pqbernstein.convergence import THEOREMS
 from pqbernstein.functions import CORPUS, resolve_function
@@ -132,6 +133,28 @@ def test_voronovskaja_bytes_do_not_depend_on_the_blas_thread_count():
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times")
+def test_blas_helper_threads_do_not_spin_after_the_cli_loads():
+    # a spinning OpenBLAS helper burns about 0.1 s of CPU once numpy loads;
+    # the sleep gives it the time to do so
+    code = (
+        "import os, time, pqbernstein.cli\n"
+        "time.sleep(0.3)\n"
+        "helpers = [t for t in os.listdir('/proc/self/task') if t != str(os.getpid())]\n"
+        "stats = [open(f'/proc/self/task/{t}/stat').read().rsplit(')', 1)[1].split() for t in helpers]\n"
+        "print(sum(int(s[11]) + int(s[12]) for s in stats) / os.sysconf('SC_CLK_TCK'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": SRC},
+        check=True,
+    )
+    assert float(res.stdout) < 0.03
 
 
 def test_out_file_written(tmp_path):
@@ -334,20 +357,25 @@ class TestFloatTableBytes:
                     _assert_reaped(forks)
 
     def test_eval_bytes_do_not_depend_on_the_cpu_count(self):
+        # certify's sweep forks across the CPUs too; its argv exits 1 with
+        # a FAIL line on stderr
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         if len(cpus) < 2:
-            pytest.skip("one CPU: the grid writer forks no child, so there is nothing to compare")
+            pytest.skip("one CPU: eval and certify fork no child, so there is nothing to compare")
         # one BLAS thread on both sides: OpenBLAS would otherwise follow the
         # affinity, and its thread count moves the bytes of the grid product
         env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        argv = ["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"]
-        for fmt in ([], ["--json"]):
-            pinned = run_cli(
-                [*argv, *fmt], env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]})
-            )
-            free = run_cli([*argv, *fmt], env=env)
-            assert pinned.returncode == free.returncode == 0, (pinned.stderr, free.stderr)
-            assert pinned.stdout == free.stdout, fmt
+        for argv, code in (
+            (["eval", "--f", "ripple", "--n", "30", "--m", "30", "--grid", "400"], 0),
+            (TestCertifyProcesses.FAIL_ARGV, 1),
+        ):
+            for fmt in ([], ["--json"]):
+                pinned = run_cli(
+                    [*argv, *fmt], env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]})
+                )
+                free = run_cli([*argv, *fmt], env=env)
+                assert pinned.returncode == free.returncode == code, (pinned.stderr, free.stderr)
+                assert (pinned.stdout, pinned.stderr) == (free.stdout, free.stderr), (argv, fmt)
 
 
 class TestGridWriterProcesses:
@@ -414,6 +442,121 @@ class TestGridWriterProcesses:
         with contextlib.redirect_stdout(InterruptedOut()), pytest.raises(KeyboardInterrupt):
             cli.main(self.ARGV)
         assert len(forks) == 2
+        _assert_reaped(forks)
+
+
+class TestCertifyProcesses:
+    """certify sweeps contiguous chunks of its functions, each after the
+    first in a forked child: stdout, stderr and the exit code are those of
+    one process, and every path out reaps every child."""
+
+    # every theorem, so the chunks' rows must be merged theorem-major
+    ALL_ARGV = ["certify", "--schedule", "i", "--degrees", "4", "--grid", "10"]
+    # const1's rows FAIL (exit 1 and a stderr line); vee and lip_half,
+    # in the last chunks, are skipped rows
+    FAIL_ARGV = ["certify", "--theorem", "c1", "--schedule", "all", "--degrees", "128,256",
+                 "--grid", "10"]
+
+    @staticmethod
+    def _one_cpu(monkeypatch, argv):
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        return _run_main(argv)
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, forks):
+        for argv, code in ((self.ALL_ARGV, 0), (self.FAIL_ARGV, 1)):
+            for fmt in ([], ["--json"]):
+                one = self._one_cpu(monkeypatch, [*argv, *fmt])
+                assert one[0] == code and forks == [], (argv, one[2])
+                for cpus in (2, 3, 8, 9):
+                    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+                    assert _run_main([*argv, *fmt]) == one, (argv, fmt, cpus)
+                    assert len(forks) == min(cpus, len(CORPUS)) - 1, (argv, fmt, cpus)
+                    _assert_reaped(forks)
+                    del forks[:]
+        assert one[2].startswith("certificate FAILED: c1 f=const1 ") and one[2].count("\n") == 1
+
+    def test_interrupted_first_chunk_reaps_every_child(self, monkeypatch, forks):
+        sweep, parent = cli.certification_sweep, os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, "certification_sweep", interrupted)
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        with pytest.raises(KeyboardInterrupt):
+            _run_main(self.FAIL_ARGV)
+        assert len(forks) == 2
+        _assert_reaped(forks)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_child_chunk_runs_again_here(self, monkeypatch, forks):
+        # every child's temporary file is full: each child exits 1, and this
+        # process sweeps all three chunks itself
+        one = self._one_cpu(monkeypatch, self.FAIL_ARGV)
+        sweep, parent, sweeps = cli.certification_sweep, os.getpid(), []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                sweeps.append([tf.name for tf in args[1]])
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, "certification_sweep", counted)
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **kw: open("/dev/full", "w+b"))
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        assert _run_main(self.FAIL_ARGV) == one
+        assert sum(sweeps, []) == list(CORPUS) and len(sweeps) == 3
+        assert len(forks) == 2
+        _assert_reaped(forks)
+
+    def test_grid_error_is_one_line(self, monkeypatch, forks):
+        # the first chunk raises here, before any child is reaped
+        argv = ["certify", "--grid", "9"]
+        one = self._one_cpu(monkeypatch, argv)
+        assert one == (2, "", "error: grid resolution must be >= 11 points per axis, got 10\n")
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        assert _run_main(argv) == one
+        assert len(forks) == 1
+        _assert_reaped(forks)
+
+    def test_warnings_are_those_of_one_process(self, monkeypatch):
+        # a child's warning fails the child, so its chunk runs again here and
+        # its warnings come in function order, each shown as one process would
+        gap = convergence._gap
+
+        def warning_gap(tf, params, grid):
+            warnings.warn(f"gap of {tf.name} at n = {params.n}", UserWarning)
+            return gap(tf, params, grid)
+
+        monkeypatch.setattr(convergence, "_gap", warning_gap)
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs.append((_run_main(self.FAIL_ARGV), [str(w.message) for w in caught]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 6 * 3 * 2  # vee and lip_half are skipped
+
+    def test_children_sweep_after_a_multithreaded_blas_product(self, monkeypatch, forks):
+        # the children call BLAS (bi_apply_grid) after this process has run
+        # a product on BLAS's threads
+        one = self._one_cpu(monkeypatch, self.FAIL_ARGV)
+        _main_stdout(["eval", "--f", "ripple", "--n", "700", "--m", "700", "--grid", "400"])
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+        def stuck(signum, frame):
+            raise TimeoutError("the forked sweep did not finish in 60 s")
+
+        handler = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(60)
+        try:
+            assert _run_main(self.FAIL_ARGV) == one
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert len(forks) == 1
         _assert_reaped(forks)
 
 
